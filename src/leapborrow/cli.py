@@ -173,6 +173,7 @@ def cmd_fit(args) -> int:
             data, hist, leap_cfg,
             n_draws=sampler["draws"], burn_in=sampler["burn_in"],
             thin=sampler["thin"], seed=seed, chains=sampler["chains"],
+            store_c0=False,
         )
         resolved["leap"] = _leap_section_dict(leap_cfg)
         pmf, mean = elicitation.posterior_ssc_summary(draws)

@@ -16,13 +16,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln, xlogy
 
-from .conjugate import NormalGammaPrior, PoissonGammaPrior, chol_pd
+from .conjugate import (
+    NormalGammaPrior,
+    PoissonGammaPrior,
+    chol_pd,
+    chol_pd_stack,
+    current_design,
+    hist_design,
+    logdet_from_chol,
+)
 from .core import (
     Dataset,
     DrawsMatrix,
@@ -93,45 +101,94 @@ class ReferencePriorConfig:
 
 
 # ---------------------------------------------------------------------------
-# closed-form weighted marginals
+# closed-form updates, batched over a grid of weights
+#
+# Both families reduce to sufficient statistics, so a weighted update is
+# ``prior + current + a0 * history`` in those statistics and a whole grid of
+# weights costs one stacked factorization instead of one per weight.
 
 
-def _poisson_log_marginal(prior: PoissonGammaPrior, blocks) -> float:
-    """Log of int prod_b L(theta | y_b)^{w_b} dGamma-prior; includes all constants."""
+class _GridUpdate(NamedTuple):
+    """Conjugate posterior and log marginal likelihood at each weight of a grid.
+
+    Poisson: gamma ``(shape, rate)``; ``mean`` and ``chol`` are None.  Linear:
+    ``beta | tau ~ N(mean, (tau * P)^-1)`` with ``chol`` the lower factor of
+    ``P``, and ``tau ~ Gamma(shape, rate)``.
+    """
+
+    shape: np.ndarray
+    rate: np.ndarray
+    log_marginal: np.ndarray
+    mean: Optional[np.ndarray] = None
+    chol: Optional[np.ndarray] = None
+
+
+def _block_stats(cfg: NppConfig, y: np.ndarray, X: Optional[np.ndarray]) -> tuple:
+    """Sufficient statistics of one data block.
+
+    Poisson: ``(sum y, sum log y!, n)``.  Linear: ``(X'X, X'y, y'y, n)``.
+    """
+    if cfg.family == "poisson":
+        return float(y.sum()), float(gammaln(y + 1).sum()), float(y.size)
+    return X.T @ X, X.T @ y, float(y @ y), float(y.size)
+
+
+def _current_stats(data: Dataset, cfg: NppConfig) -> tuple:
+    X = None if cfg.family == "poisson" else current_design(data, cfg.prior.p)
+    return _block_stats(cfg, data.y, X)
+
+
+def _hist_stats(hist: HistoricalDataset, cfg: NppConfig) -> tuple:
+    X0 = None if cfg.family == "poisson" else hist_design(hist, cfg.prior.p)
+    return _block_stats(cfg, hist.y0, X0)
+
+
+def _poisson_grid(prior: PoissonGammaPrior, cur, past, a: np.ndarray) -> _GridUpdate:
     shape = prior.eta0
     rate = prior.beta0
     const = prior.eta0 * np.log(prior.beta0) - gammaln(prior.eta0)
-    for y, w in blocks:
-        shape += w * float(y.sum())
-        rate += w * y.size
-        const -= w * float(gammaln(y + 1).sum())
-    return float(const + gammaln(shape) - shape * np.log(rate))
+    if cur is not None:
+        s, lfact, n = cur
+        shape += s
+        rate += n
+        const -= lfact
+    s0, lfact0, n0 = past
+    shape = shape + a * s0
+    rate = rate + a * n0
+    log_marginal = const - a * lfact0 + gammaln(shape) - shape * np.log(rate)
+    return _GridUpdate(shape, rate, log_marginal)
 
 
-def _ng_weighted_marginal(prior: NormalGammaPrior, blocks) -> float:
-    """Log marginal of weighted normal-linear blocks under a proper NG prior."""
+def _ng_grid(prior: NormalGammaPrior, cur, past, a: np.ndarray) -> _GridUpdate:
     P = prior.omega0.copy()
     h = prior.omega0 @ prior.mu0
-    yty = prior.mu0 @ prior.omega0 @ prior.mu0
+    yty = float(prior.mu0 @ prior.omega0 @ prior.mu0)
     n_eff = 0.0
-    for X, y, w in blocks:
-        P += w * (X.T @ X)
-        h += w * (X.T @ y)
-        yty += w * float(y @ y)
-        n_eff += w * y.size
-    L = chol_pd(P)
-    m = solve_triangular(
-        L.T, solve_triangular(L, h, lower=True, check_finite=False),
-        lower=False, check_finite=False,
-    )
+    if cur is not None:
+        XtX, Xty, yy, n = cur
+        P += XtX
+        h = h + Xty
+        yty += yy
+        n_eff += n
+    XtX0, Xty0, yy0, n0 = past
+    P = P + a[:, None, None] * XtX0
+    h = h + a[:, None] * Xty0
+    yty = yty + a * yy0
+    n_eff = n_eff + a * n0
+
+    L = chol_pd_stack(P)
+    m = np.linalg.solve(P, h[:, :, None])[:, :, 0]
+    s2 = prior.xi0 + yty - np.einsum("gi,gij,gj->g", m, P, m)
+    bad = np.flatnonzero(s2 <= 0)
+    if bad.size:
+        i = bad[0]
+        raise NumericalError(
+            f"nonpositive residual scale {s2[i]:.3e} in power-prior update at a0 = {a[i]:g}"
+        )
     shape = (n_eff + prior.delta0) / 2.0
-    s2 = prior.xi0 + yty - m @ P @ m
-    if s2 <= 0:
-        raise NumericalError(f"nonpositive residual scale {s2:.3e} in power-prior update")
-    L0 = chol_pd(prior.omega0)
-    logdet0 = 2.0 * np.sum(np.log(np.diag(L0)))
-    logdet1 = 2.0 * np.sum(np.log(np.diag(L)))
-    return float(
+    logdet0 = logdet_from_chol(chol_pd(prior.omega0))
+    logdet1 = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    log_marginal = (
         -0.5 * n_eff * np.log(2 * np.pi)
         + 0.5 * logdet0
         - 0.5 * logdet1
@@ -140,19 +197,19 @@ def _ng_weighted_marginal(prior: NormalGammaPrior, blocks) -> float:
         + (prior.delta0 / 2.0) * np.log(prior.xi0 / 2.0)
         - shape * np.log(s2 / 2.0)
     )
+    return _GridUpdate(shape, s2 / 2.0, log_marginal, m, L)
 
 
-def _hist_blocks(hist: HistoricalDataset, prior, a0: float):
-    if isinstance(prior, PoissonGammaPrior):
-        return [(hist.y0, a0)]
-    X0 = _aligned_hist_design(hist, prior.p)
-    return [(X0, hist.y0, a0)]
+def _grid_update(cfg: NppConfig, cur, past, a: np.ndarray) -> _GridUpdate:
+    """Updates at weights ``a`` of the prior by ``cur`` (or nothing, if None) plus ``a * past``."""
+    if cfg.family == "poisson":
+        return _poisson_grid(cfg.prior, cur, past, a)
+    return _ng_grid(cfg.prior, cur, past, a)
 
 
-def _aligned_hist_design(hist: HistoricalDataset, p: int) -> np.ndarray:
-    from .conjugate import hist_design
-
-    return hist_design(hist, p)
+def _check_weight(a0: float):
+    if not (0.0 <= a0 <= 1.0):
+        raise ValidationError(f"a0 must lie in [0, 1], got {a0}")
 
 
 def npp_log_norm_const(a0: float, hist: HistoricalDataset, cfg: NppConfig) -> float:
@@ -161,27 +218,9 @@ def npp_log_norm_const(a0: float, hist: HistoricalDataset, cfg: NppConfig) -> fl
     Exactly zero at ``a0 = 0`` for a proper initial prior; the full-data
     conjugate log marginal likelihood at ``a0 = 1``.
     """
-    if not (0.0 <= a0 <= 1.0):
-        raise ValidationError(f"a0 must lie in [0, 1], got {a0}")
-    if cfg.family == "poisson":
-        return _poisson_log_marginal(cfg.prior, [(hist.y0, a0)])
-    return _ng_weighted_marginal(cfg.prior, _hist_blocks(hist, cfg.prior, a0))
-
-
-def _joint_log_marginal(
-    a0: float, data: Dataset, hist: HistoricalDataset, cfg: NppConfig
-) -> float:
-    if cfg.family == "poisson":
-        return _poisson_log_marginal(cfg.prior, [(data.y, 1.0), (hist.y0, a0)])
-    X = data.effective_design()
-    if X is None:
-        raise ValidationError("current design required for the linear comparator")
-    if X.shape[1] != cfg.prior.p:
-        raise ValidationError(
-            f"current design has {X.shape[1]} columns; prior expects {cfg.prior.p}"
-        )
-    blocks = [(X, data.y, 1.0)] + _hist_blocks(hist, cfg.prior, a0)
-    return _ng_weighted_marginal(cfg.prior, blocks)
+    _check_weight(a0)
+    upd = _grid_update(cfg, None, _hist_stats(hist, cfg), np.array([float(a0)]))
+    return float(upd.log_marginal[0])
 
 
 def _a0_grid(cfg: NppConfig):
@@ -206,44 +245,13 @@ def npp_a0_posterior(
 ) -> tuple:
     """Grid values and exact normalized posterior pmf of the weight ``a0``."""
     grid, logp = _a0_grid(cfg)
-    logw = np.array(
-        [
-            logp[i] + _joint_log_marginal(a, data, hist, cfg) - npp_log_norm_const(a, hist, cfg)
-            for i, a in enumerate(grid)
-        ]
-    )
+    past = _hist_stats(hist, cfg)
+    joint = _grid_update(cfg, _current_stats(data, cfg), past, grid)
+    norm = _grid_update(cfg, None, past, grid)
+    logw = logp + joint.log_marginal - norm.log_marginal
     logw -= logw.max()
     w = np.exp(logw)
     return grid, w / w.sum()
-
-
-def _poisson_conditional(a0, data, hist, prior):
-    shape = prior.eta0 + float(data.y.sum()) + a0 * float(hist.y0.sum())
-    rate = prior.beta0 + data.n + a0 * hist.n0
-    return shape, rate
-
-
-def _linear_conditional(a0, data, hist, prior):
-    X = data.effective_design()
-    X0 = _aligned_hist_design(hist, prior.p)
-    P = prior.omega0 + X.T @ X + a0 * (X0.T @ X0)
-    h = prior.omega0 @ prior.mu0 + X.T @ data.y + a0 * (X0.T @ hist.y0)
-    L = chol_pd(P)
-    m = solve_triangular(
-        L.T, solve_triangular(L, h, lower=True, check_finite=False),
-        lower=False, check_finite=False,
-    )
-    shape = (data.n + a0 * hist.n0 + prior.delta0) / 2.0
-    s2 = (
-        prior.xi0
-        + float(data.y @ data.y)
-        + a0 * float(hist.y0 @ hist.y0)
-        + prior.mu0 @ prior.omega0 @ prior.mu0
-        - m @ P @ m
-    )
-    if s2 <= 0:
-        raise NumericalError(f"nonpositive residual scale {s2:.3e}")
-    return m, L, shape, s2 / 2.0
 
 
 def npp_conditional_posterior(
@@ -254,11 +262,13 @@ def npp_conditional_posterior(
     Poisson: ``(shape, rate)`` of the gamma posterior.  Linear:
     ``(mean, precision_chol, shape, rate)`` of the normal-gamma posterior.
     """
-    if not (0.0 <= a0 <= 1.0):
-        raise ValidationError(f"a0 must lie in [0, 1], got {a0}")
+    _check_weight(a0)
+    upd = _grid_update(
+        cfg, _current_stats(data, cfg), _hist_stats(hist, cfg), np.array([float(a0)])
+    )
     if cfg.family == "poisson":
-        return _poisson_conditional(a0, data, hist, cfg.prior)
-    return _linear_conditional(a0, data, hist, cfg.prior)
+        return float(upd.shape[0]), float(upd.rate[0])
+    return upd.mean[0], upd.chol[0], float(upd.shape[0]), float(upd.rate[0])
 
 
 def npp_posterior(
@@ -271,8 +281,8 @@ def npp_posterior(
     """Joint draws of the outcome parameters and ``a0``.
 
     ``a0`` indices are sampled from the exact grid pmf; parameters are then
-    drawn from the conjugate conditional at each sampled weight, grouped by
-    grid index so every distinct weight costs one factorization.
+    drawn from the conjugate conditional at each sampled weight.  The
+    conditionals of all distinct sampled weights come from one batched update.
     """
     if n_draws < 1:
         raise ValidationError("n_draws must be >= 1")
@@ -280,32 +290,29 @@ def npp_posterior(
     grid, pmf = npp_a0_posterior(data, hist, cfg)
     idx = rng.choice(grid.size, size=n_draws, p=pmf)
     a0_draws = grid[idx]
+    uniq, inverse, counts = np.unique(idx, return_inverse=True, return_counts=True)
+    cond = _grid_update(
+        cfg, _current_stats(data, cfg), _hist_stats(hist, cfg), grid[uniq]
+    )
 
     if cfg.family == "poisson":
-        shapes = np.empty(n_draws)
-        rates = np.empty(n_draws)
-        for u in np.unique(idx):
-            sel = idx == u
-            sh, ra = _poisson_conditional(grid[u], data, hist, cfg.prior)
-            shapes[sel] = sh
-            rates[sel] = ra
-        theta = rng.gamma(shapes, 1.0 / rates)
+        theta = rng.gamma(cond.shape[inverse], 1.0 / cond.rate[inverse])
         columns = ("theta_1", "a0")
         values = np.column_stack([theta, a0_draws])
         theta1_cols = ["theta_1"]
         kind = "poisson"
     else:
         p = cfg.prior.p
-        betas = np.empty((n_draws, p))
         taus = np.empty(n_draws)
-        for u in np.unique(idx):
-            sel = np.flatnonzero(idx == u)
-            m, L, shape, rate = _linear_conditional(grid[u], data, hist, cfg.prior)
-            t = rng.gamma(shape, 1.0 / rate, size=sel.size)
-            z = rng.standard_normal((sel.size, p))
-            dev = solve_triangular(L.T, z.T, lower=False, check_finite=False).T
-            betas[sel] = m[None, :] + dev / np.sqrt(t)[:, None]
-            taus[sel] = t
+        z = np.empty((n_draws, p))
+        # per distinct weight, in grid order: its precisions, then its normals
+        groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+        for j, sel in enumerate(groups):
+            taus[sel] = rng.gamma(cond.shape[j], 1.0 / cond.rate[j], size=sel.size)
+            z[sel] = rng.standard_normal((sel.size, p))
+        upper = np.swapaxes(cond.chol, 1, 2)[inverse]
+        dev = np.linalg.solve(upper, z[:, :, None])[:, :, 0]
+        betas = cond.mean[inverse] + dev / np.sqrt(taus)[:, None]
         columns = tuple(
             [f"beta_1_{j + 1}" for j in range(p)] + ["tau_1", "sigma_1", "a0"]
         )

@@ -139,13 +139,39 @@ def chol_pd(A: np.ndarray) -> np.ndarray:
         raise NumericalError(f"matrix not positive definite: {exc}") from exc
     piv = np.diag(L) ** 2
     if np.any(piv < floor):
-        eigs = np.linalg.eigvalsh(A)
-        raise NumericalError(
-            "near-singular precision matrix: smallest Cholesky pivot "
-            f"{piv.min():.3e} below threshold {floor:.3e} "
-            f"(eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}])"
-        )
+        raise _near_singular(A, piv.min(), floor)
     return L
+
+
+def chol_pd_stack(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a ``(G, p, p)`` stack, with :func:`chol_pd`'s check.
+
+    The pivot floor ``1e-12 * trace / p`` is taken per matrix; the error names
+    the first matrix in the stack that breaches it.
+    """
+    p = A.shape[-1]
+    if not np.all(np.isfinite(A)):
+        raise NumericalError("matrix not positive definite: non-finite entries")
+    floor = _PIVOT_RTOL * np.maximum(np.trace(A, axis1=1, axis2=2), 0.0) / max(p, 1)
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"matrix not positive definite: {exc}") from exc
+    piv = np.diagonal(L, axis1=1, axis2=2) ** 2
+    bad = np.flatnonzero(np.any(piv < floor[:, None], axis=1))
+    if bad.size:
+        i = bad[0]
+        raise _near_singular(A[i], piv[i].min(), floor[i], where=f" at stack index {i}")
+    return L
+
+
+def _near_singular(A: np.ndarray, pivot: float, floor: float, where: str = "") -> NumericalError:
+    eigs = np.linalg.eigvalsh(A)
+    return NumericalError(
+        f"near-singular precision matrix{where}: smallest Cholesky pivot "
+        f"{pivot:.3e} below threshold {floor:.3e} "
+        f"(eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}])"
+    )
 
 
 def logdet_from_chol(L: np.ndarray) -> float:

@@ -122,17 +122,32 @@ def with_extras(
     return replace(summary, dic=dic, ssc_mean=ssc_mean)
 
 
-def _poisson_deviance(theta: float, y: np.ndarray) -> float:
-    if theta <= 0:
-        return np.inf
-    ll = float(np.sum(y * np.log(theta) - theta - gammaln(y + 1)))
-    return -2.0 * ll
+_DIC_BLOCK = 1 << 20  # residual-matrix entries evaluated at once
 
 
-def _linear_deviance(beta: np.ndarray, tau: float, y: np.ndarray, X: np.ndarray) -> float:
-    resid = y - X @ beta
+def _poisson_deviances(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Deviance at each rate in ``theta``; ``inf`` where a rate is not positive."""
+    lfact = float(gammaln(y + 1).sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = float(y.sum()) * np.log(theta) - y.size * theta - lfact
+    return np.where(theta > 0, -2.0 * ll, np.inf)
+
+
+def _linear_deviances(
+    B: np.ndarray, tau: np.ndarray, y: np.ndarray, X: np.ndarray
+) -> np.ndarray:
+    """Deviance at each coefficient row of ``B`` with precision ``tau``.
+
+    Residual sums of squares come from the residual matrix ``y - X B'``, built
+    in blocks of draws so its size stays bounded.
+    """
     n = y.size
-    ll = 0.5 * n * (np.log(tau) - np.log(2 * np.pi)) - 0.5 * tau * float(resid @ resid)
+    ssr = np.empty(B.shape[0])
+    step = max(1, _DIC_BLOCK // n)
+    for s in range(0, B.shape[0], step):
+        resid = y[None, :] - B[s : s + step] @ X.T
+        ssr[s : s + step] = np.einsum("ij,ij->i", resid, resid)
+    ll = 0.5 * n * (np.log(tau) - np.log(2 * np.pi)) - 0.5 * tau * ssr
     return -2.0 * ll
 
 
@@ -149,8 +164,8 @@ def dic(draws: DrawsMatrix, data: Dataset, model_kind: Optional[str] = None) -> 
     kind = model_kind or draws.meta.get("model_kind")
     if kind == "poisson":
         theta = draws.column("theta_1")
-        dev = np.array([_poisson_deviance(t, data.y) for t in theta])
-        dev_at_mean = _poisson_deviance(float(theta.mean()), data.y)
+        dev = _poisson_deviances(theta, data.y)
+        dev_at_mean = _poisson_deviances(np.array([theta.mean()]), data.y)[0]
     elif kind == "normal_linear":
         cols = draws.meta.get("theta1_columns")
         if not cols:
@@ -159,16 +174,14 @@ def dic(draws: DrawsMatrix, data: Dataset, model_kind: Optional[str] = None) -> 
         B = np.column_stack([draws.column(c) for c in beta_cols])
         tau = draws.column("tau_1")
         X = current_design_for_dic(data, B.shape[1])
-        dev = np.array(
-            [_linear_deviance(B[i], tau[i], data.y, X) for i in range(B.shape[0])]
-        )
-        dev_at_mean = _linear_deviance(
-            B.mean(axis=0), float(np.exp(np.log(tau).mean())), data.y, X
-        )
+        dev = _linear_deviances(B, tau, data.y, X)
+        dev_at_mean = _linear_deviances(
+            B.mean(axis=0)[None, :], np.array([np.exp(np.log(tau).mean())]), data.y, X
+        )[0]
     else:
         raise ValidationError(f"unknown model kind {kind!r}")
     mean_dev = float(dev.mean())
-    return 2.0 * mean_dev - dev_at_mean
+    return float(2.0 * mean_dev - dev_at_mean)
 
 
 def current_design_for_dic(data: Dataset, p: int) -> np.ndarray:

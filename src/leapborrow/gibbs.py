@@ -250,10 +250,19 @@ def _scan(kernel, cfg: LeapConfig, c0: np.ndarray, rng):
 def initialize_state(
     data: Dataset, hist: HistoricalDataset, cfg: LeapConfig, rng: np.random.Generator
 ) -> GibbsState:
-    """Dispersed start: uniform labels, weights from the prior, parameters from their conditionals."""
+    """Dispersed start: uniform labels, weights from the prior, parameters from their conditionals.
+
+    With a truncated first weight the start weights are drawn first and the
+    labels from Categorical(weights), so the start class-1 count already
+    lies near the truncation interval; uniform labels would put about half
+    of a large history in class 1, where the weight update has no mass.
+    """
     if cfg.K == 1:
         c0 = np.ones(hist.n0, dtype=np.int64)
         gamma = np.ones(1)
+    elif cfg.truncated:
+        gamma = _draw_gamma(cfg, np.zeros(cfg.K), rng)
+        c0 = _draw_labels(np.zeros((hist.n0, cfg.K)), gamma, rng)
     else:
         c0 = rng.integers(1, cfg.K + 1, size=hist.n0)
         gamma = _draw_gamma(cfg, np.zeros(cfg.K), rng)

@@ -14,7 +14,6 @@ blocks.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -31,6 +30,7 @@ from .core import (
     ValidationError,
     validate_config,
 )
+from .pool import worker_pool
 
 DEFAULT_CAP = 2**20
 BLOCK_SIZE = 4096
@@ -175,7 +175,8 @@ def _block_weights(labels, data, hist, cfg):
 
 
 def _block_task(args):
-    start, stop, data, hist, cfg, want_posterior = args
+    """Weights of one index block; the label block is returned only when materializing."""
+    start, stop, data, hist, cfg, want_posterior, materialize = args
     labels = _label_block(start, stop, cfg.K, hist.n0)
     n01 = (labels == 1).sum(axis=1)
     logw_prior, prior_means = _block_weights(labels, None, hist, cfg)
@@ -183,6 +184,8 @@ def _block_task(args):
         logw_post, post_means = _block_weights(labels, data, hist, cfg)
     else:
         logw_post, post_means = None, None
+    if not materialize:
+        labels = None
     return labels, logw_prior, prior_means, logw_post, post_means, n01
 
 
@@ -210,9 +213,9 @@ def _build_table(
     post_acc = _StreamAccumulator(mean_dim, hist.n0) if want_posterior else None
 
     bounds = [(s, min(s + BLOCK_SIZE, total)) for s in range(0, total, BLOCK_SIZE)]
-    tasks = [(s, e, data, hist, cfg, want_posterior) for s, e in bounds]
+    tasks = [(s, e, data, hist, cfg, want_posterior, materialize) for s, e in bounds]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with worker_pool(workers) as pool:
             results = list(pool.map(_block_task, tasks, chunksize=1))
     else:
         results = map(_block_task, tasks)

@@ -14,7 +14,6 @@ byte-identical no matter how many workers execute the replications.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +22,7 @@ import numpy as np
 from . import comparators, diagnostics, gibbs
 from .conjugate import NormalGammaPrior
 from .core import Dataset, HistoricalDataset, LeapConfig, ValidationError
+from .pool import worker_pool
 
 TRUE_COEFFS = np.array([-18.00, 0.49, -1.67, 1.99])  # intercept, age, age^2, score
 TRUE_TREATMENT_EFFECT = -35.39
@@ -236,7 +236,7 @@ def run_simulation(
     settings = settings or SamplerSettings()
     tasks = [(scenario, rep, priors, settings) for rep in range(scenario.reps)]
     if workers > 1 and scenario.reps > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with worker_pool(workers) as pool:
             results = list(pool.map(_rep_worker, tasks, chunksize=1))
     else:
         results = [_rep_worker(t) for t in tasks]

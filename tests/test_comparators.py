@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from leapborrow import (
     Dataset,
     HistoricalDataset,
     NormalGammaPrior,
+    NumericalError,
     PoissonGammaPrior,
     ValidationError,
     npp_conditional_posterior,
@@ -231,6 +232,121 @@ class TestGridPosterior:
                               n_draws=3000, seed=1)
         est = draws.column("beta_1_3").mean()
         assert abs(est + 2.0) < 0.5
+
+
+def _poisson_log_marginal_ref(prior, blocks):
+    """Closed-form log marginal of weighted Poisson blocks, one weight at a time."""
+    shape, rate = prior.eta0, prior.beta0
+    const = prior.eta0 * np.log(prior.beta0) - gammaln(prior.eta0)
+    for y, w in blocks:
+        shape += w * y.sum()
+        rate += w * y.size
+        const -= w * gammaln(y + 1).sum()
+    return const + gammaln(shape) - shape * np.log(rate)
+
+
+def _ng_log_marginal_ref(prior, blocks):
+    """Closed-form log marginal of weighted normal-linear blocks, one weight at a time."""
+    P = prior.omega0.copy()
+    h = prior.omega0 @ prior.mu0
+    yty = prior.mu0 @ prior.omega0 @ prior.mu0
+    n_eff = 0.0
+    for X, y, w in blocks:
+        P += w * (X.T @ X)
+        h += w * (X.T @ y)
+        yty += w * (y @ y)
+        n_eff += w * y.size
+    m = np.linalg.solve(P, h)
+    shape = (n_eff + prior.delta0) / 2.0
+    s2 = prior.xi0 + yty - m @ P @ m
+    return (
+        -0.5 * n_eff * np.log(2 * np.pi)
+        + 0.5 * np.linalg.slogdet(prior.omega0)[1]
+        - 0.5 * np.linalg.slogdet(P)[1]
+        + gammaln(shape)
+        - gammaln(prior.delta0 / 2.0)
+        + (prior.delta0 / 2.0) * np.log(prior.xi0 / 2.0)
+        - shape * np.log(s2 / 2.0)
+    )
+
+
+def _linear_setup(seed=9, n=30, n0=25):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=n)])
+    z = (rng.random(n) < 0.5).astype(float)
+    y = X @ np.array([1.0, 0.5]) - 1.0 * z + rng.normal(size=n)
+    X0 = np.column_stack([np.ones(n0), rng.normal(size=n0)])
+    y0 = X0 @ np.array([1.4, 0.5]) + rng.normal(size=n0)
+    prior = NormalGammaPrior(np.zeros(3), 0.05 * np.eye(3), 0.5, 0.5)
+    return Dataset(y=y, z=z, X=X), HistoricalDataset(y0=y0, X0=X0), prior
+
+
+A0_PRIORS = [
+    A0Prior("uniform"),
+    A0Prior("truncated_uniform", bound=0.6),
+    A0Prior("beta", shape1=2.0, shape2=0.7),
+    A0Prior("fixed", value=0.35),
+]
+
+
+class TestBatchedGrid:
+    @pytest.mark.parametrize("family", ["poisson", "normal_linear"])
+    @pytest.mark.parametrize("a0_prior", A0_PRIORS, ids=lambda p: p.kind)
+    def test_pmf_matches_per_weight_loop(self, family, a0_prior):
+        if family == "poisson":
+            data, hist = _poisson_setup(seed=8, n=20, n0=30, rate=2.0, rate0=2.6)
+            prior = PoissonGammaPrior(0.7, 0.4)
+
+            def log_ratio(a):
+                return _poisson_log_marginal_ref(
+                    prior, [(data.y, 1.0), (hist.y0, a)]
+                ) - _poisson_log_marginal_ref(prior, [(hist.y0, a)])
+        else:
+            data, hist, prior = _linear_setup()
+            X = data.effective_design()
+            X0 = np.column_stack([hist.X0, np.zeros(hist.n0)])
+
+            def log_ratio(a):
+                return _ng_log_marginal_ref(
+                    prior, [(X, data.y, 1.0), (X0, hist.y0, a)]
+                ) - _ng_log_marginal_ref(prior, [(X0, hist.y0, a)])
+
+        cfg = NppConfig(prior=prior, a0_prior=a0_prior, a0_grid_size=101)
+        grid, pmf = npp_a0_posterior(data, hist, cfg)
+        logp = np.zeros(grid.size)
+        if a0_prior.kind == "beta":
+            logp = xlogy(a0_prior.shape1 - 1, grid) + xlogy(a0_prior.shape2 - 1, 1 - grid)
+        logw = logp + np.array([log_ratio(a) for a in grid])
+        expect = np.exp(logw - logw.max())
+        expect /= expect.sum()
+        assert np.allclose(pmf, expect, rtol=1e-10, atol=0.0)
+
+    def test_conditional_at_interior_weight(self):
+        data, hist, prior = _linear_setup()
+        cfg = NppConfig(prior=prior, a0_grid_size=51)
+        m, L, shape, rate = npp_conditional_posterior(0.4, data, hist, cfg)
+        X = data.effective_design()
+        X0 = np.column_stack([hist.X0, np.zeros(hist.n0)])
+        P = prior.omega0 + X.T @ X + 0.4 * (X0.T @ X0)
+        assert np.allclose(L @ L.T, P, rtol=1e-12, atol=1e-12)
+        assert np.allclose(m, np.linalg.solve(P, X.T @ data.y + 0.4 * (X0.T @ hist.y0)))
+        assert shape == pytest.approx((data.n + 0.4 * hist.n0 + prior.delta0) / 2)
+
+    def test_near_singular_history_design_raises(self):
+        rng = np.random.default_rng(10)
+        n, n0 = 12, 10
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        data = Dataset(y=rng.normal(size=n), X=X)
+        # two identical columns at a large scale: the weighted precision is
+        # positive definite but its pivot falls below the relative floor
+        X0 = 1e6 * np.ones((n0, 2))
+        hist = HistoricalDataset(y0=rng.normal(size=n0), X0=X0)
+        cfg = NppConfig(prior=NormalGammaPrior(np.zeros(2), np.eye(2), 1.0, 1.0))
+        with pytest.raises(NumericalError, match="near-singular.*eigenvalue range"):
+            npp_a0_posterior(data, hist, cfg)
+        with pytest.raises(NumericalError, match="near-singular.*eigenvalue range"):
+            npp_log_norm_const(1.0, hist, cfg)
+        assert np.isfinite(npp_log_norm_const(0.1, hist, cfg))
 
 
 class TestReferencePosterior:

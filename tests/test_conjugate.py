@@ -19,9 +19,12 @@ from leapborrow import (
     poisson_log_partition_weight,
 )
 from leapborrow.conjugate import (
+    chol_pd,
+    chol_pd_stack,
     first_component_rate_projection_form,
     ng_conditional,
 )
+from leapborrow.core import NumericalError
 
 from conftest import make_table1_cfg, random_linear_instance
 
@@ -366,3 +369,24 @@ class TestLinearPartitionWeight:
             linear_log_partition_weight(
                 PartitionAssignment(np.ones(hist.n0, dtype=int)), data, bad, cfg
             )
+
+
+class TestCholStack:
+    def test_matches_single_factorizations(self):
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(6, 4, 4))
+        S = A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(4)
+        L = chol_pd_stack(S)
+        for g in range(S.shape[0]):
+            assert np.allclose(L[g], chol_pd(S[g]), rtol=1e-12, atol=1e-14)
+
+    def test_pivot_floor_is_per_matrix(self):
+        # the second matrix alone breaches its relative floor 1e-12 * trace / p
+        ok = np.eye(2)
+        bad = np.array([[1e14 + 1.0, 1e14], [1e14, 1e14 + 1.0]])
+        with pytest.raises(NumericalError, match="stack index 1.*eigenvalue range"):
+            chol_pd_stack(np.stack([ok, bad]))
+        with pytest.raises(NumericalError, match="near-singular"):
+            chol_pd(bad)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            chol_pd_stack(np.stack([ok, -ok]))

@@ -143,6 +143,54 @@ class TestDic:
         assert abs(np.mean(diffs)) < 2.0
 
 
+def _linear_deviance(beta, tau, y, X):
+    resid = y - X @ beta
+    n = y.size
+    return -2.0 * (0.5 * n * (np.log(tau) - np.log(2 * np.pi)) - 0.5 * tau * (resid @ resid))
+
+
+class TestDicPerDrawReference:
+    """The vectorized deviances against the per-draw formula, draw by draw."""
+
+    def test_linear_matches_per_draw_loop(self, monkeypatch):
+        import leapborrow.diagnostics as dg
+
+        rng = np.random.default_rng(10)
+        n = 50
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        z = (rng.random(n) < 0.5).astype(float)
+        y = 3.0 + X[:, 1] - 2.0 * z + rng.normal(size=n)
+        data = Dataset(y=y, z=z, X=X)
+        B = np.array([3.0, 1.0, -2.0]) + 0.1 * rng.normal(size=(700, 3))
+        tau = rng.gamma(20.0, 0.05, size=700)
+        cols = ("beta_1_1", "beta_1_2", "beta_1_3", "tau_1")
+        meta = {"model_kind": "normal_linear", "theta1_columns": list(cols)}
+        dm = DrawsMatrix(columns=cols, values=np.column_stack([B, tau]), meta=meta)
+        Xe = data.effective_design()
+        devs = np.array([_linear_deviance(B[i], tau[i], y, Xe) for i in range(B.shape[0])])
+        d_at_mean = _linear_deviance(B.mean(axis=0), np.exp(np.log(tau).mean()), y, Xe)
+        expect = 2 * devs.mean() - d_at_mean
+        assert dic(dm, data) == pytest.approx(expect, rel=1e-12)
+        # residual blocks smaller than the draw count give the same value
+        monkeypatch.setattr(dg, "_DIC_BLOCK", 3 * n)
+        assert dic(dm, data) == pytest.approx(expect, rel=1e-12)
+
+    def test_poisson_matches_per_draw_loop(self):
+        rng = np.random.default_rng(11)
+        y = rng.poisson(4.0, size=35).astype(float)
+        theta = rng.gamma(40.0, 0.1, size=900)
+        dm = _dm(theta, columns=("theta_1",), meta={"model_kind": "poisson"})
+        devs = np.array([_poisson_deviance(t, y) for t in theta])
+        expect = 2 * devs.mean() - _poisson_deviance(theta.mean(), y)
+        assert dic(dm, Dataset(y=y)) == pytest.approx(expect, rel=1e-12)
+
+    def test_poisson_nonpositive_rate_gives_inf(self):
+        y = np.array([1.0, 0.0, 3.0])
+        theta = np.array([1.2, 0.0, 2.0, -0.5, 1.5])
+        dm = _dm(theta, columns=("theta_1",), meta={"model_kind": "poisson"})
+        assert dic(dm, Dataset(y=y)) == np.inf
+
+
 class TestSimMetrics:
     def test_perfect_estimates(self):
         m = sim_metrics([2.0, 2.0], [1.5, 1.5], [2.5, 2.5], truth=2.0)

@@ -4,6 +4,8 @@ import pytest
 from leapborrow import (
     LeapConfig,
     PoissonGammaPrior,
+    Dataset,
+    HistoricalDataset,
     ValidationError,
     partition_averaged_mean,
     posterior_partition_table,
@@ -107,6 +109,30 @@ class TestTruncation:
         for seed in range(5):
             state = initialize_state(table1_data, table1_hist, trunc, chain_rng(seed))
             assert 0.0 < state.gamma[0] < 0.48
+
+    @pytest.mark.parametrize(
+        "n0, b", [(1200, 0.0833), (2000, 0.05), (2000, 0.1), (2000, 0.3)]
+    )
+    def test_large_history_small_bound_runs(self, n0, b):
+        # uniform start labels would put about n0/2 subjects in class 1, far
+        # outside (0, b), where the first weight update has no mass
+        rng = np.random.default_rng(n0)
+        y = rng.poisson(3.0, size=100).astype(float)
+        m = int(0.7 * n0)
+        y0 = np.concatenate([rng.poisson(3.0, m), rng.poisson(6.0, n0 - m)]).astype(float)
+        pri = PoissonGammaPrior(0.1, 0.1)
+        cfg = LeapConfig(
+            K=2, alpha0=np.array([1.0, 1.0]), component_priors=(pri, pri),
+            model_kind="poisson", trunc_a=0.0, trunc_b=b,
+        )
+        state = initialize_state(Dataset(y=y), HistoricalDataset(y0=y0), cfg, chain_rng(3))
+        assert 0.0 < state.gamma[0] < b
+        d = run_chain(
+            Dataset(y=y), HistoricalDataset(y0=y0), cfg,
+            n_draws=150, burn_in=20, seed=3, store_c0=False,
+        )
+        g1 = d.column("gamma_1")
+        assert np.all(g1 > 0.0) and np.all(g1 < b)
 
     def test_truncated_chain_matches_truncated_oracle(self, table1_data, table1_hist):
         cfg = make_table1_cfg()

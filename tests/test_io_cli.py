@@ -175,6 +175,37 @@ class TestCliFit:
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
 
+    def test_fit_json_unchanged_without_label_store(self, table1_files, tmp_path, monkeypatch):
+        import leapborrow.gibbs as gibbs_mod
+
+        cur, hist, cfg = table1_files
+        argv = ["fit", "--data", cur, "--hist", hist, "--config", cfg,
+                "--prior", "leap", "--chains", "2"]
+        stored = []
+        run_chains = gibbs_mod.run_chains
+
+        def recording(*args, **kwargs):
+            draws = run_chains(*args, **kwargs)
+            stored.append(draws.c0)
+            return draws
+
+        monkeypatch.setattr(gibbs_mod, "run_chains", recording)
+        lean = str(tmp_path / "lean.json")
+        assert main(argv + ["--out", lean]) == 0
+        assert stored == [None]
+
+        def keep_labels(*args, **kwargs):
+            kwargs["store_c0"] = True
+            draws = run_chains(*args, **kwargs)
+            stored.append(draws.c0)
+            return draws
+
+        monkeypatch.setattr(gibbs_mod, "run_chains", keep_labels)
+        kept = str(tmp_path / "kept.json")
+        assert main(argv + ["--out", kept]) == 0
+        assert stored[1] is not None
+        assert open(lean, "rb").read() == open(kept, "rb").read()
+
     def test_rerun_from_echoed_config_reproduces_output(self, table1_files, tmp_path):
         cur, hist, cfg = table1_files
         out1 = str(tmp_path / "first.json")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leapborrow import (
+    Dataset,
     EnumerationCapError,
     LeapConfig,
     NormalGammaPrior,
@@ -150,6 +151,25 @@ class TestStreamingAndWorkers:
         assert np.array_equal(t1.post_mean, t2.post_mean)
         for a, b in zip(t1.rows, t2.rows):
             assert a.posterior_prob == b.posterior_prob
+
+    def test_unmaterialized_k2_tables_match_across_workers(self, monkeypatch):
+        import leapborrow.oracle as om
+
+        monkeypatch.setattr(om, "BLOCK_SIZE", 64)  # force multiple blocks
+        rng = np.random.default_rng(22)
+        hist = HistoricalDataset(y0=rng.poisson(3.0, size=10).astype(float))
+        data = Dataset(y=rng.poisson(2.5, size=12).astype(float))
+        cfg = make_table1_cfg()
+        t1 = posterior_partition_table(data, hist, cfg, materialize=False, workers=1)
+        t2 = posterior_partition_table(data, hist, cfg, materialize=False, workers=2)
+        assert t1.rows is None and t2.rows is None
+        for name in ("prior_ssc", "prior_mean", "post_ssc", "post_mean"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
+        assert t1.log_prior_norm == t2.log_prior_norm
+        assert t1.log_post_norm == t2.log_post_norm
+        task = (0, 64, data, hist, cfg, True, False)
+        assert om._block_task(task)[0] is None
+        assert om._block_task(task[:-1] + (True,))[0].shape == (64, 10)
 
     def test_block_boundary_consistency(self, table1_data, table1_hist, table1_cfg, monkeypatch):
         import leapborrow.oracle as om

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,11 @@ class TestRunSimulation:
         a = run_simulation(sc, ["leap"], settings=settings, workers=1)
         b = run_simulation(sc, ["leap"], settings=settings, workers=2)
         assert np.array_equal(a["estimates"]["leap"], b["estimates"]["leap"])
+
+    def test_all_priors_byte_identical_across_workers(self):
+        sc = SimScenario(exchangeability="none", q=0.5, n0=14, n_extra=6, reps=2, seed=8)
+        settings = SamplerSettings(n_draws=300, burn_in=50, a0_grid_size=101)
+        priors = ["leap", "npbpp", "reference"]
+        a = run_simulation(sc, priors, settings=settings, workers=1)
+        b = run_simulation(sc, priors, settings=settings, workers=2)
+        assert pickle.dumps(a) == pickle.dumps(b)
