@@ -13,16 +13,16 @@ in tests) and :func:`run_chain` (tight loop with preallocated storage).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from . import ptd
 from .conjugate import (
     _PIVOT_RTOL,
+    NormalGammaPrior,
     current_design,
     hist_design,
 )
@@ -40,7 +40,6 @@ from .core import (
 DEFAULT_DRAWS = 22_000
 DEFAULT_BURN_IN = 2_000
 _AUTO_C0_LIMIT = 50_000_000  # stored label entries before c0 retention turns off
-_MEMO_PARTITIONS = 4096  # label vectors (K**n0) up to which conditionals are memoized
 
 
 @dataclass(frozen=True)
@@ -69,59 +68,32 @@ def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain_index,)))
 
 
-class _Kernel:
-    """Shared by both models: the parameter conditionals depend on the labels alone.
-
-    When the history admits at most ``_MEMO_PARTITIONS`` label vectors, the
-    conditional parameters of each one visited are computed once and kept,
-    so a scan that revisits a partition only draws.
-    """
-
-    def _init_memo(self, cfg: LeapConfig, n0: int):
-        self._memo = {} if cfg.K**n0 <= _MEMO_PARTITIONS else None
-
-    def conditionals(self, c0: np.ndarray, counts: np.ndarray):
-        if self._memo is None:
-            return self._conditionals(c0, counts)
-        key = c0.tobytes()
-        cond = self._memo.get(key)
-        if cond is None:
-            cond = self._memo[key] = self._conditionals(c0, counts)
-        return cond
-
-
-class _PoissonKernel(_Kernel):
+class _PoissonKernel:
     def __init__(self, data: Dataset, hist: HistoricalDataset, cfg: LeapConfig):
         self.cfg = cfg
         self.y0 = hist.y0
-        self.y0_col = hist.y0[:, None]
         self.n0 = hist.n0
+        self.s_cur = float(data.y.sum())
+        self.n_cur = data.n
         self.eta0 = np.array([p.eta0 for p in cfg.component_priors])
         self.beta0 = np.array([p.beta0 for p in cfg.component_priors])
-        # the current data always joins class 1
-        self.eta0[0] += float(data.y.sum())
-        self.beta0[0] += data.n
-        self._init_memo(cfg, hist.n0)
 
-    def _conditionals(self, c0: np.ndarray, counts: np.ndarray) -> list:
-        """``(shape, scale)`` of each component's gamma conditional."""
-        shapes = self.eta0 + np.bincount(c0, weights=self.y0, minlength=self.cfg.K + 1)[1:]
+    def draw_thetas(self, c0: np.ndarray, rng) -> tuple:
+        K = self.cfg.K
+        counts = np.bincount(c0 - 1, minlength=K).astype(float)
+        sums = np.bincount(c0 - 1, weights=self.y0, minlength=K)
+        shapes = self.eta0 + sums
         rates = self.beta0 + counts
-        return list(zip(shapes.tolist(), (1.0 / rates).tolist()))
-
-    def draw_thetas(self, c0: np.ndarray, counts: np.ndarray, rng) -> tuple:
+        shapes[0] += self.s_cur
+        rates[0] += self.n_cur
         # tiny shapes (diffuse priors on empty classes) can underflow to an
-        # exact zero draw; floor so downstream logs stay NaN-free.  Scalar
-        # draws in component order consume the stream as one array draw would.
-        return (np.array([
-            max(rng.gamma(shape, scale), 1e-300)
-            for shape, scale in self.conditionals(c0, counts)
-        ]),)
+        # exact zero draw; floor so downstream logs stay NaN-free
+        return (np.maximum(rng.gamma(shapes, 1.0 / rates), 1e-300),)
 
     def log_class_weights(self, theta: tuple) -> np.ndarray:
         (rates,) = theta
         # Poisson log-density up to the label-free -log(y!) term
-        return self.y0_col * np.log(rates) - rates
+        return self.y0[:, None] * np.log(rates)[None, :] - rates[None, :]
 
     def columns(self):
         K = self.cfg.K
@@ -134,96 +106,91 @@ class _PoissonKernel(_Kernel):
         return ["theta_1"]
 
 
-class _LinearKernel(_Kernel):
+class _LinearKernel:
     def __init__(self, data: Dataset, hist: HistoricalDataset, cfg: LeapConfig):
         self.cfg = cfg
-        priors = cfg.component_priors
-        self.p = p = priors[0].p
-        self.X0 = hist_design(hist, p)
+        first: NormalGammaPrior = cfg.component_priors[0]
+        self.p = first.p
+        self.X = current_design(data, self.p)
+        self.y = data.y
+        self.X0 = hist_design(hist, self.p)
         self.y0 = hist.y0
-        self.y0_col = hist.y0[:, None]
         self.n0 = hist.n0
-        X = current_design(data, p)
-        # one row of sufficient statistics per subject, [vec(x x'), x y, x'x, y^2, 1],
-        # so all class statistics come from one product with the label indicators
-        self.z0 = np.hstack([
-            np.einsum("ip,iq->ipq", self.X0, self.X0).reshape(self.n0, -1),
-            self.X0 * hist.y0[:, None],
-            (self.X0**2).sum(axis=1)[:, None],
-            (hist.y0**2)[:, None],
-            np.ones((self.n0, 1)),
-        ])
-        self.z_cur = np.concatenate([
-            (X.T @ X).ravel(), X.T @ data.y, [(X**2).sum(), data.y @ data.y, data.n],
-        ])
-        # row c is the indicator vector of class c (row 0 is unused)
-        self.indicators = np.vstack([np.zeros(cfg.K), np.eye(cfg.K)])
-        # prior pieces that never change across scans, stacked over components
-        self.omega0 = np.stack([pr.omega0 for pr in priors])
-        self.om_mu = np.stack([pr.omega0 @ pr.mu0 for pr in priors])
-        # prior terms of [trace of P, residual scale base, 2 * precision shape]
-        self.scalar_prior = np.array([
-            [np.trace(pr.omega0), pr.xi0 + pr.mu0 @ pr.omega0 @ pr.mu0, pr.delta0]
-            for pr in priors
-        ])
-        self._pivot_floor_scale = _PIVOT_RTOL / max(p, 1)
-        self._init_memo(cfg, hist.n0)
+        self.XtX_cur = self.X.T @ self.X
+        self.Xty_cur = self.X.T @ data.y
+        self.yty_cur = float(data.y @ data.y)
+        self.n_cur = data.n
+        # per-subject outer products let class stats accumulate without slicing
+        self.xx0 = np.einsum("ip,iq->ipq", self.X0, self.X0).reshape(self.n0, -1)
+        self.xy0 = self.X0 * hist.y0[:, None]
+        self.yy0 = hist.y0**2
+        # prior pieces that never change across scans
+        self.om_mu = [pr.omega0 @ pr.mu0 for pr in cfg.component_priors]
+        self.mu_om_mu = [
+            float(pr.mu0 @ pr.omega0 @ pr.mu0) for pr in cfg.component_priors
+        ]
+        self._pivot_floor_scale = _PIVOT_RTOL / max(self.p, 1)
 
-    def _conditionals(self, c0: np.ndarray, counts: np.ndarray) -> list:
-        """``(L, w, s2, shape)`` of each component's normal-gamma conditional.
+    def _class_stats(self, mask: np.ndarray):
+        w = mask.astype(float)
+        XtX = (w @ self.xx0).reshape(self.p, self.p)
+        Xty = w @ self.xy0
+        yty = float(self.yy0 @ mask)
+        return XtX, Xty, yty, float(mask.sum())
 
-        The precision is Gamma(shape, rate s2 / 2) and the coefficients,
-        given it, are normal with precision ``tau P``, ``P = L L'``, and mean
-        ``L^-T w``; ``w = L^-1 h`` also gives ``h' P^-1 h = w'w``.
-        Component 1 adds the current data.
-        """
-        K, p = self.cfg.K, self.p
-        pp = p * p
-        stats = self.indicators[c0].T @ self.z0
-        stats[0] += self.z_cur
-        P = stats[:, :pp].reshape(K, p, p) + self.omega0
-        H = stats[:, pp : pp + p] + self.om_mu
-        cond = []
-        for k, (trace, s2_base, delta) in enumerate(
-            (stats[:, pp + p :] + self.scalar_prior).tolist()
-        ):
-            L, info = dpotrf(P[k], lower=1, clean=0)
-            if info != 0:
-                raise NumericalError(
-                    f"component {k + 1} precision not positive definite (dpotrf info={info})"
-                )
-            piv = min(L.diagonal().tolist()) ** 2
-            if piv < self._pivot_floor_scale * trace:
-                raise NumericalError(
-                    f"component {k + 1} precision near singular "
-                    f"(pivot {piv:.3e} vs trace {trace:.3e})"
-                )
-            w, _ = dtrtrs(L, H[k], lower=1)
-            s2 = s2_base - float(w @ w)
-            if s2 <= 0:
-                raise NumericalError(f"nonpositive residual scale {s2:.3e}")
-            cond.append((L, w, s2, delta / 2.0))
-        return cond
+    def _draw_ng(self, k: int, XtX, Xty, yty, n_eff, rng):
+        prior: NormalGammaPrior = self.cfg.component_priors[k]
+        P = XtX + prior.omega0
+        L, info = dpotrf(P, lower=1, clean=0, overwrite_a=0)
+        if info != 0:
+            raise NumericalError(
+                f"component {k + 1} precision not positive definite (dpotrf info={info})"
+            )
+        piv = np.diag(L) ** 2
+        if piv.min() < self._pivot_floor_scale * P.trace():
+            raise NumericalError(
+                f"component {k + 1} precision near singular "
+                f"(pivot {piv.min():.3e} vs trace {P.trace():.3e})"
+            )
+        h = Xty + self.om_mu[k]
+        m, info = dpotrs(L, h, lower=1)
+        if info != 0:
+            raise NumericalError(f"component {k + 1} triangular solve failed")
+        shape = (n_eff + prior.delta0) / 2.0
+        s2 = prior.xi0 + yty + self.mu_om_mu[k] - m @ h
+        if s2 <= 0:
+            raise NumericalError(f"nonpositive residual scale {s2:.3e}")
+        # floor against underflow to an exact zero for near-zero shapes
+        tau = max(rng.gamma(shape, 2.0 / s2), 1e-300)
+        z = rng.standard_normal(self.p)
+        u, info = dtrtrs(L, z, lower=1, trans=1)
+        if info != 0:
+            raise NumericalError(f"component {k + 1} triangular solve failed")
+        return m + u / np.sqrt(tau), tau
 
-    def draw_thetas(self, c0: np.ndarray, counts: np.ndarray, rng) -> tuple:
-        """Per component, the precision and then its ``p`` standard normals."""
-        K, p = self.cfg.K, self.p
-        betas = np.empty((K, p))
+    def draw_thetas(self, c0: np.ndarray, rng) -> tuple:
+        K = self.cfg.K
+        betas = np.empty((K, self.p))
         taus = np.empty(K)
-        for k, (L, w, s2, shape) in enumerate(self.conditionals(c0, counts)):
-            # floor against underflow to an exact zero for near-zero shapes
-            tau = max(rng.gamma(shape, 2.0 / s2), 1e-300)
-            taus[k] = tau
-            z = rng.standard_normal(p)
-            z *= 1.0 / math.sqrt(tau)
-            z += w
-            betas[k], _ = dtrtrs(L, z, lower=1, trans=1)
+        XtX, Xty, yty, nk = self._class_stats(c0 == 1)
+        betas[0], taus[0] = self._draw_ng(
+            0,
+            XtX + self.XtX_cur,
+            Xty + self.Xty_cur,
+            yty + self.yty_cur,
+            nk + self.n_cur,
+            rng,
+        )
+        for k in range(2, K + 1):
+            stats = self._class_stats(c0 == k)
+            betas[k - 1], taus[k - 1] = self._draw_ng(k - 1, *stats, rng)
         return (betas, taus)
 
     def log_class_weights(self, theta: tuple) -> np.ndarray:
         betas, taus = theta
-        resid = self.y0_col - self.X0 @ betas.T  # (n0, K)
-        return 0.5 * np.log(taus) - (0.5 * taus) * (resid * resid)
+        mu = self.X0 @ betas.T  # (n0, K)
+        resid2 = (self.y0[:, None] - mu) ** 2
+        return 0.5 * np.log(taus)[None, :] - 0.5 * taus[None, :] * resid2
 
     def columns(self):
         K = self.cfg.K
@@ -253,14 +220,6 @@ def _draw_gamma(cfg: LeapConfig, counts: np.ndarray, rng) -> np.ndarray:
     alpha = counts + cfg.alpha0
     if cfg.truncated:
         return ptd.sample(ptd.PtdParams(alpha, cfg.trunc_a, cfg.trunc_b), rng)
-    if max(alpha.tolist()) > 0.1:
-        # normalized independent gammas drawn one scalar at a time, the
-        # construction Generator.dirichlet uses at these concentrations,
-        # without its per-call argument checks
-        g = np.array([rng.standard_gamma(a) for a in alpha.tolist()])
-        g *= 1.0 / g.sum()
-        return g
-    # all concentrations tiny: every gamma may underflow, so stick-break instead
     return rng.dirichlet(alpha)
 
 
@@ -270,31 +229,22 @@ def _draw_labels(log_w: np.ndarray, gamma: np.ndarray, rng) -> np.ndarray:
     One uniform per subject compared against the cumulative (unnormalized)
     class weights; equal weights resolve in cumulative order.
     """
-    logits = log_w + np.log(gamma)
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
-    cum = np.add.accumulate(np.exp(logits, out=logits), axis=1)
-    u = rng.random(log_w.shape[0])
-    u *= cum[:, -1]
-    labels = np.add.reduce(u[:, None] > cum, axis=1, dtype=np.int64)
-    labels += 1
-    return labels
+    logits = log_w + np.log(gamma)[None, :]
+    logits -= logits.max(axis=1, keepdims=True)
+    cum = np.cumsum(np.exp(logits), axis=1)
+    u = rng.random(log_w.shape[0]) * cum[:, -1]
+    return (u[:, None] > cum).sum(axis=1).astype(np.int64) + 1
 
 
-def _label_counts(c0: np.ndarray, K: int) -> np.ndarray:
-    return np.bincount(c0, minlength=K + 1)[1:]
-
-
-def _scan(kernel, cfg: LeapConfig, c0: np.ndarray, counts: np.ndarray, rng):
-    """One full Gibbs scan from labels ``c0`` with class counts ``counts``.
-
-    Returns (theta, gamma, new labels, their class counts).
-    """
-    theta = kernel.draw_thetas(c0, counts, rng)
+def _scan(kernel, cfg: LeapConfig, c0: np.ndarray, rng):
+    """One full Gibbs scan from labels ``c0``; returns (theta, gamma, new labels)."""
+    theta = kernel.draw_thetas(c0, rng)
+    counts = np.bincount(c0 - 1, minlength=cfg.K).astype(float)
     gamma = _draw_gamma(cfg, counts, rng)
     if cfg.K == 1:
-        return theta, gamma, c0, counts
+        return theta, gamma, c0
     new_c0 = _draw_labels(kernel.log_class_weights(theta), gamma, rng)
-    return theta, gamma, new_c0, _label_counts(new_c0, cfg.K)
+    return theta, gamma, new_c0
 
 
 def initialize_state(
@@ -317,7 +267,7 @@ def initialize_state(
         c0 = rng.integers(1, cfg.K + 1, size=hist.n0)
         gamma = _draw_gamma(cfg, np.zeros(cfg.K), rng)
     kernel = _make_kernel(data, hist, cfg)
-    theta = kernel.draw_thetas(c0, _label_counts(c0, cfg.K), rng)
+    theta = kernel.draw_thetas(c0, rng)
     return GibbsState(theta=theta, gamma=gamma, c0=PartitionAssignment(c0))
 
 
@@ -330,8 +280,7 @@ def gibbs_step(
 ) -> GibbsState:
     """One full scan starting from ``state``."""
     kernel = _make_kernel(data, hist, cfg)
-    c0 = state.c0.c0
-    theta, gamma, c0, _ = _scan(kernel, cfg, c0, _label_counts(c0, cfg.K), rng)
+    theta, gamma, c0 = _scan(kernel, cfg, state.c0.c0, rng)
     return GibbsState(theta=theta, gamma=gamma, c0=PartitionAssignment(c0))
 
 
@@ -375,11 +324,10 @@ def run_chain(
 
     state = initialize_state(data, hist, cfg, rng)
     c0 = state.c0.c0.copy()
-    counts = _label_counts(c0, cfg.K)
     kept = 0
     for t in range(n_draws):
         try:
-            theta, gamma, c0, counts = _scan(kernel, cfg, c0, counts, rng)
+            theta, gamma, c0 = _scan(kernel, cfg, c0, rng)
         except NumericalError as exc:
             raise NumericalError(f"iteration {t}: {exc}") from exc
         if t >= burn_in and (t - burn_in) % thin == 0:
@@ -387,7 +335,7 @@ def run_chain(
             flat = kernel.flatten(theta)
             row[: flat.size] = flat
             row[flat.size : flat.size + cfg.K] = gamma
-            row[flat.size + cfg.K :] = counts
+            row[flat.size + cfg.K :] = np.bincount(c0 - 1, minlength=cfg.K)
             if store_c0:
                 c0_store[kept] = c0
             kept += 1

@@ -243,40 +243,3 @@ class TestGibbsStepApi:
             assert abs(state.gamma.sum() - 1.0) < 1e-12
             assert np.all(state.theta[1] > 0)  # precisions stay positive
             assert np.all((state.c0.c0 >= 1) & (state.c0.c0 <= cfg.K))
-
-
-class TestScanShortcuts:
-    @pytest.mark.parametrize("kind", ["poisson", "linear"])
-    def test_memoized_conditionals_match_recomputed(self, kind, monkeypatch, table1_data,
-                                                    table1_hist, table1_cfg):
-        # small histories memoize the per-partition conditionals; switching the
-        # memo off must reproduce the chain bit for bit
-        from leapborrow import gibbs
-
-        if kind == "poisson":
-            args = (table1_data, table1_hist, table1_cfg)
-        else:
-            args = random_linear_instance(41, n=10, n0=7, p=2)
-        memo = run_chain(*args, n_draws=600, burn_in=100, seed=9)
-        monkeypatch.setattr(gibbs, "_MEMO_PARTITIONS", 0)
-        fresh = run_chain(*args, n_draws=600, burn_in=100, seed=9)
-        assert np.array_equal(memo.values, fresh.values)
-        assert np.array_equal(memo.c0, fresh.c0)
-
-    @pytest.mark.parametrize(
-        "alpha", [[0.9, 0.9], [3.9, 0.05], [1.0, 2.0, 7.0], [0.05, 0.02]]
-    )
-    def test_weight_draw_matches_dirichlet(self, alpha):
-        from leapborrow.gibbs import _draw_gamma
-
-        cfg = LeapConfig(
-            K=len(alpha), alpha0=np.array(alpha),
-            component_priors=(PoissonGammaPrior(0.1, 0.1),) * len(alpha),
-            model_kind="poisson",
-        )
-        for seed in range(20):
-            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-            g = _draw_gamma(cfg, np.zeros(len(alpha)), r1)
-            assert np.allclose(g, r2.dirichlet(np.array(alpha)), rtol=1e-12, atol=0)
-            assert abs(g.sum() - 1.0) < 1e-12
-            assert r1.random() == r2.random()  # same stream position afterwards
