@@ -159,6 +159,26 @@ def _poisson_grid(prior: PoissonGammaPrior, cur, past, a: np.ndarray) -> _GridUp
     return _GridUpdate(shape, rate, log_marginal)
 
 
+def _tri_solve_stack(
+    L: np.ndarray, b: np.ndarray, transpose: bool = False, index: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Solve ``L x = b`` (``L' x = b`` if ``transpose``) row by row over a stack of lower factors.
+
+    Row ``g`` of ``b`` uses ``L[g]``, or ``L[index[g]]`` when ``index`` is given.
+    Substitution runs over the ``p`` unknowns, each step vectorized over the rows.
+    """
+    rows = slice(None) if index is None else index
+    p = b.shape[1]
+    x = np.empty_like(b)
+    for i in (range(p - 1, -1, -1) if transpose else range(p)):
+        if transpose:
+            acc = np.einsum("gj,gj->g", L[rows, i + 1:, i], x[:, i + 1:])
+        else:
+            acc = np.einsum("gj,gj->g", L[rows, i, :i], x[:, :i])
+        x[:, i] = (b[:, i] - acc) / L[rows, i, i]
+    return x
+
+
 def _ng_grid(prior: NormalGammaPrior, cur, past, a: np.ndarray) -> _GridUpdate:
     P = prior.omega0.copy()
     h = prior.omega0 @ prior.mu0
@@ -177,8 +197,9 @@ def _ng_grid(prior: NormalGammaPrior, cur, past, a: np.ndarray) -> _GridUpdate:
     n_eff = n_eff + a * n0
 
     L = chol_pd_stack(P)
-    m = np.linalg.solve(P, h[:, :, None])[:, :, 0]
-    s2 = prior.xi0 + yty - np.einsum("gi,gij,gj->g", m, P, m)
+    w = _tri_solve_stack(L, h)
+    m = _tri_solve_stack(L, w, transpose=True)
+    s2 = prior.xi0 + yty - np.einsum("gi,gi->g", w, w)  # m'Pm = w'w
     bad = np.flatnonzero(s2 <= 0)
     if bad.size:
         i = bad[0]
@@ -310,8 +331,7 @@ def npp_posterior(
         for j, sel in enumerate(groups):
             taus[sel] = rng.gamma(cond.shape[j], 1.0 / cond.rate[j], size=sel.size)
             z[sel] = rng.standard_normal((sel.size, p))
-        upper = np.swapaxes(cond.chol, 1, 2)[inverse]
-        dev = np.linalg.solve(upper, z[:, :, None])[:, :, 0]
+        dev = _tri_solve_stack(cond.chol, z, transpose=True, index=inverse)
         betas = cond.mean[inverse] + dev / np.sqrt(taus)[:, None]
         columns = tuple(
             [f"beta_1_{j + 1}" for j in range(p)] + ["tau_1", "sigma_1", "a0"]

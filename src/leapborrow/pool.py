@@ -24,10 +24,12 @@ import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-# (setter, getter) symbol pairs: numpy's 64-bit-integer build, then scipy's
+# (setter, getter) symbol pairs: numpy's 64-bit-integer build, scipy's, then
+# the unprefixed names of a system or conda OpenBLAS
 _THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
 

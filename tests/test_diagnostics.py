@@ -175,15 +175,6 @@ class TestDicPerDrawReference:
         monkeypatch.setattr(dg, "_DIC_BLOCK", 3 * n)
         assert dic(dm, data) == pytest.approx(expect, rel=1e-12)
 
-    def test_poisson_matches_per_draw_loop(self):
-        rng = np.random.default_rng(11)
-        y = rng.poisson(4.0, size=35).astype(float)
-        theta = rng.gamma(40.0, 0.1, size=900)
-        dm = _dm(theta, columns=("theta_1",), meta={"model_kind": "poisson"})
-        devs = np.array([_poisson_deviance(t, y) for t in theta])
-        expect = 2 * devs.mean() - _poisson_deviance(theta.mean(), y)
-        assert dic(dm, Dataset(y=y)) == pytest.approx(expect, rel=1e-12)
-
     def test_poisson_nonpositive_rate_gives_inf(self):
         y = np.array([1.0, 0.0, 3.0])
         theta = np.array([1.2, 0.0, 2.0, -0.5, 1.5])
