@@ -25,17 +25,17 @@ from scipy.special import gammaln, xlogy
 from .conjugate import (
     NormalGammaPrior,
     PoissonGammaPrior,
+    _tri_solve_stack,
     chol_pd,
-    chol_pd_stack,
     current_design,
     hist_design,
     logdet_from_chol,
+    ng_update_stack,
 )
 from .core import (
     Dataset,
     DrawsMatrix,
     HistoricalDataset,
-    NumericalError,
     ValidationError,
 )
 from .gibbs import chain_rng
@@ -159,66 +159,20 @@ def _poisson_grid(prior: PoissonGammaPrior, cur, past, a: np.ndarray) -> _GridUp
     return _GridUpdate(shape, rate, log_marginal)
 
 
-def _tri_solve_stack(
-    L: np.ndarray, b: np.ndarray, transpose: bool = False, index: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Solve ``L x = b`` (``L' x = b`` if ``transpose``) row by row over a stack of lower factors.
-
-    Row ``g`` of ``b`` uses ``L[g]``, or ``L[index[g]]`` when ``index`` is given.
-    Substitution runs over the ``p`` unknowns, each step vectorized over the rows.
-    """
-    rows = slice(None) if index is None else index
-    p = b.shape[1]
-    x = np.empty_like(b)
-    for i in (range(p - 1, -1, -1) if transpose else range(p)):
-        if transpose:
-            acc = np.einsum("gj,gj->g", L[rows, i + 1:, i], x[:, i + 1:])
-        else:
-            acc = np.einsum("gj,gj->g", L[rows, i, :i], x[:, :i])
-        x[:, i] = (b[:, i] - acc) / L[rows, i, i]
-    return x
-
-
 def _ng_grid(prior: NormalGammaPrior, cur, past, a: np.ndarray) -> _GridUpdate:
-    P = prior.omega0.copy()
-    h = prior.omega0 @ prior.mu0
-    yty = float(prior.mu0 @ prior.omega0 @ prior.mu0)
-    n_eff = 0.0
-    if cur is not None:
-        XtX, Xty, yy, n = cur
-        P += XtX
-        h = h + Xty
-        yty += yy
-        n_eff += n
     XtX0, Xty0, yy0, n0 = past
-    P = P + a[:, None, None] * XtX0
-    h = h + a[:, None] * Xty0
-    yty = yty + a * yy0
-    n_eff = n_eff + a * n0
-
-    L = chol_pd_stack(P)
-    w = _tri_solve_stack(L, h)
-    m = _tri_solve_stack(L, w, transpose=True)
-    s2 = prior.xi0 + yty - np.einsum("gi,gi->g", w, w)  # m'Pm = w'w
-    bad = np.flatnonzero(s2 <= 0)
-    if bad.size:
-        i = bad[0]
-        raise NumericalError(
-            f"nonpositive residual scale {s2[i]:.3e} in power-prior update at a0 = {a[i]:g}"
-        )
-    shape = (n_eff + prior.delta0) / 2.0
-    logdet0 = logdet_from_chol(chol_pd(prior.omega0))
-    logdet1 = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    stats = [a[:, None, None] * XtX0, a[:, None] * Xty0, a * yy0, a * n0]
+    if cur is not None:
+        stats = [s + c for s, c in zip(stats, cur)]
+    upd = ng_update_stack(prior, *stats, where=lambda i: f" at a0 = {a[i]:g}")
     log_marginal = (
-        -0.5 * n_eff * np.log(2 * np.pi)
-        + 0.5 * logdet0
-        - 0.5 * logdet1
-        + gammaln(shape)
+        -0.5 * stats[3] * np.log(2 * np.pi)
+        + 0.5 * logdet_from_chol(chol_pd(prior.omega0))
         - gammaln(prior.delta0 / 2.0)
         + (prior.delta0 / 2.0) * np.log(prior.xi0 / 2.0)
-        - shape * np.log(s2 / 2.0)
+        + upd.log_kernel
     )
-    return _GridUpdate(shape, s2 / 2.0, log_marginal, m, L)
+    return _GridUpdate(upd.shape, upd.rate, log_marginal, upd.mean, upd.chol)
 
 
 def _grid_update(cfg: NppConfig, cur, past, a: np.ndarray) -> _GridUpdate:

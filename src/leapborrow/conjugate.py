@@ -13,13 +13,12 @@ explicit pivot check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cholesky
 from scipy.special import betaln, gammaln
 
-from . import ptd
 from .core import (
     Dataset,
     HistoricalDataset,
@@ -143,11 +142,15 @@ def chol_pd(A: np.ndarray) -> np.ndarray:
     return L
 
 
-def chol_pd_stack(A: np.ndarray) -> np.ndarray:
+def _stack_index(i: int) -> str:
+    return f" at stack index {i}"
+
+
+def chol_pd_stack(A: np.ndarray, where: Callable[[int], str] = _stack_index) -> np.ndarray:
     """Lower Cholesky factors of a ``(G, p, p)`` stack, with :func:`chol_pd`'s check.
 
     The pivot floor ``1e-12 * trace / p`` is taken per matrix; the error names
-    the first matrix in the stack that breaches it.
+    the first matrix in the stack that breaches it, as ``where(i)``.
     """
     p = A.shape[-1]
     if not np.all(np.isfinite(A)):
@@ -161,8 +164,28 @@ def chol_pd_stack(A: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(np.any(piv < floor[:, None], axis=1))
     if bad.size:
         i = bad[0]
-        raise _near_singular(A[i], piv[i].min(), floor[i], where=f" at stack index {i}")
+        raise _near_singular(A[i], piv[i].min(), floor[i], where=where(i))
     return L
+
+
+def _tri_solve_stack(
+    L: np.ndarray, b: np.ndarray, transpose: bool = False, index: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Solve ``L x = b`` (``L' x = b`` if ``transpose``) row by row over a stack of lower factors.
+
+    Row ``g`` of ``b`` uses ``L[g]``, or ``L[index[g]]`` when ``index`` is given.
+    Substitution runs over the ``p`` unknowns, each step vectorized over the rows.
+    """
+    rows = slice(None) if index is None else index
+    p = b.shape[1]
+    x = np.empty_like(b)
+    for i in (range(p - 1, -1, -1) if transpose else range(p)):
+        if transpose:
+            acc = np.einsum("gj,gj->g", L[rows, i + 1:, i], x[:, i + 1:])
+        else:
+            acc = np.einsum("gj,gj->g", L[rows, i, :i], x[:, :i])
+        x[:, i] = (b[:, i] - acc) / L[rows, i, i]
+    return x
 
 
 def _near_singular(A: np.ndarray, pivot: float, floor: float, where: str = "") -> NumericalError:
@@ -191,21 +214,67 @@ def poisson_component_posterior(
     return PoissonGammaPrior(prior.eta0 + count_sum, prior.beta0 + n_obs)
 
 
-def _gamma_integral_log(cfg: LeapConfig, counts: np.ndarray) -> float:
-    """Log of the mixture-weight integral over the (possibly truncated) simplex.
+def _gamma_integral_block(counts: np.ndarray, cfg: LeapConfig) -> np.ndarray:
+    """Log of the mixture-weight integral over the (possibly truncated) simplex, per row of counts.
 
-    Returns ``-inf`` for partitions whose updated weight distribution has no
-    mass inside the truncation interval; such partitions are simply
-    impossible rather than numerical failures.
+    ``-inf`` marks partitions whose updated weight distribution has no mass
+    inside the truncation interval; such partitions are simply impossible
+    rather than numerical failures.
     """
     if cfg.K == 1:
-        return 0.0
+        return np.zeros(counts.shape[0])
+    from scipy.special import betainc
+
     v = counts + cfg.alpha0
-    tail = float(v[1:].sum())
-    lm = ptd.trunc_beta_log_mass(v[0], tail, cfg.trunc_a, cfg.trunc_b)
-    if lm == -np.inf:
-        return -np.inf
-    return float(betaln(v[0], tail)) + lm + ptd.log_multivariate_beta(v[1:])
+    v1 = v[:, 0]
+    tail = v[:, 1:].sum(axis=1)
+    mass = betainc(v1, tail, cfg.trunc_b) - betainc(v1, tail, cfg.trunc_a)
+    with np.errstate(divide="ignore"):
+        out = betaln(v1, tail) + np.log(np.maximum(mass, 0.0))
+    if cfg.K > 2:
+        out += gammaln(v[:, 1:]).sum(axis=1) - gammaln(tail)
+    return out
+
+
+def _gamma_integral_log(cfg: LeapConfig, counts: np.ndarray) -> float:
+    """:func:`_gamma_integral_block` for a single partition's class counts."""
+    return float(_gamma_integral_block(np.asarray(counts, dtype=float)[None], cfg)[0])
+
+
+def _class_stats(labels: np.ndarray, K: int, rows: np.ndarray) -> np.ndarray:
+    """Per-class sums of per-subject ``rows`` over a ``(B, n0)`` label block, as ``(B, K, d)``."""
+    B, n0 = labels.shape
+    onehot = labels[:, None, :] == np.arange(1, K + 1)[:, None]
+    return (onehot.reshape(B * K, n0) @ rows).reshape(B, K, rows.shape[1])
+
+
+def _single_partition(assign: PartitionAssignment, hist: HistoricalDataset, cfg: LeapConfig):
+    """One partition as a one-row label block, after checking its labels and length."""
+    class_counts(assign, cfg.K)
+    if assign.n0 != hist.n0:
+        raise ValidationError("partition length must match historical sample size")
+    return assign.c0[None]
+
+
+def poisson_block_weights(
+    labels: np.ndarray, data: Optional[Dataset], hist: HistoricalDataset, cfg: LeapConfig
+) -> tuple:
+    """Unnormalized log masses and first-component rate means of a ``(B, n0)`` label block.
+
+    Returns ``(log_weights (B,), means (B, 1))``.  With ``data=None`` the
+    current-study terms are dropped, which gives the prior partition kernel
+    induced by the historical data alone.
+    """
+    stats = _class_stats(labels, cfg.K, np.column_stack([np.ones(hist.n0), hist.y0]))
+    counts, sums = stats[..., 0], stats[..., 1]
+    eta = sums + np.array([p.eta0 for p in cfg.component_priors])
+    beta = counts + np.array([p.beta0 for p in cfg.component_priors])
+    if data is not None:
+        eta[:, 0] += float(data.y.sum())
+        beta[:, 0] += data.n
+    logw = np.sum(gammaln(eta) - eta * np.log(beta), axis=1)
+    logw += _gamma_integral_block(counts, cfg)
+    return logw, (eta[:, 0] / beta[:, 0])[:, None]
 
 
 def poisson_log_partition_weight(
@@ -214,41 +283,9 @@ def poisson_log_partition_weight(
     hist: HistoricalDataset,
     cfg: LeapConfig,
 ) -> float:
-    """Unnormalized log mass of a partition under the Poisson model.
-
-    With ``data=None`` the current-study terms are dropped, which gives the
-    prior partition kernel induced by the historical data alone.
-    """
-    counts = class_counts(assign, cfg.K).astype(float)
-    if assign.n0 != hist.n0:
-        raise ValidationError("partition length must match historical sample size")
-    sums = np.bincount(assign.c0 - 1, weights=hist.y0, minlength=cfg.K)
-    eta = np.array([p.eta0 for p in cfg.component_priors]) + sums
-    beta = np.array([p.beta0 for p in cfg.component_priors]) + counts
-    if data is not None:
-        eta[0] += data.y.sum()
-        beta[0] += data.n
-    return _gamma_integral_log(cfg, counts) + float(
-        np.sum(gammaln(eta) - eta * np.log(beta))
-    )
-
-
-def poisson_conditional_mean(
-    assign: PartitionAssignment,
-    data: Optional[Dataset],
-    hist: HistoricalDataset,
-    cfg: LeapConfig,
-) -> float:
-    """Conditional (prior or posterior) mean of the first-component rate."""
-    prior = cfg.component_priors[0]
-    in1 = assign.c0 == 1
-    count_sum = float(hist.y0[in1].sum())
-    n_obs = float(in1.sum())
-    if data is not None:
-        count_sum += float(data.y.sum())
-        n_obs += data.n
-    post = poisson_component_posterior(prior, count_sum, n_obs)
-    return post.mean
+    """Unnormalized log mass of one partition under the Poisson model (one block row)."""
+    labels = _single_partition(assign, hist, cfg)
+    return float(poisson_block_weights(labels, data, hist, cfg)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +318,53 @@ def current_design(data: Dataset, p: int) -> np.ndarray:
     return X
 
 
+class NgStack(NamedTuple):
+    """Stacked conditionals ``beta | tau ~ N(mean, (tau L L')^-1)``, ``tau ~ Gamma(shape, rate)``.
+
+    ``chol`` holds the factors ``L``; ``log_kernel = log Gamma(shape) - shape log(rate) - log|L|``.
+    """
+
+    chol: np.ndarray
+    mean: np.ndarray
+    shape: np.ndarray
+    rate: np.ndarray
+    log_kernel: np.ndarray
+
+
+def ng_update_stack(
+    prior: NormalGammaPrior,
+    XtX: np.ndarray,
+    Xty: np.ndarray,
+    yty: np.ndarray,
+    n_eff: np.ndarray,
+    where: Callable[[int], str] = _stack_index,
+) -> NgStack:
+    """Normal-gamma updates of ``prior`` by stacked ``(X'X, X'y, y'y, n)`` statistics.
+
+    One :func:`chol_pd_stack` call factors every precision ``XtX + omega0``;
+    means follow by substitution, with ``m'Pm = w'w`` for ``L w = X'y + omega0 mu0``.
+    ``where(i)`` names stack entry ``i`` in error messages.
+    """
+    L = chol_pd_stack(XtX + prior.omega0, where)
+    w = _tri_solve_stack(L, Xty + prior.omega0 @ prior.mu0)
+    m = _tri_solve_stack(L, w, transpose=True)
+    s2 = prior.xi0 + yty + prior.mu0 @ prior.omega0 @ prior.mu0 - np.einsum("gi,gi->g", w, w)
+    bad = np.flatnonzero(s2 <= 0)
+    if bad.size:
+        i = bad[0]
+        raise NumericalError(
+            f"nonpositive residual scale {s2[i]:.3e} in normal-gamma update{where(i)}"
+        )
+    shape = (n_eff + prior.delta0) / 2.0
+    rate = s2 / 2.0
+    log_kernel = (
+        gammaln(shape)
+        - shape * np.log(rate)
+        - np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    )
+    return NgStack(L, m, shape, rate, log_kernel)
+
+
 def ng_conditional(
     prior: NormalGammaPrior,
     XtX: np.ndarray,
@@ -289,17 +373,13 @@ def ng_conditional(
     n_eff: float,
 ) -> LinearConditional:
     """Normal-gamma update from accumulated (possibly weighted) sufficient stats."""
-    P = XtX + prior.omega0
-    L = chol_pd(P)
-    h = Xty + prior.omega0 @ prior.mu0
-    m = cho_solve((L, True), h)
-    shape = (n_eff + prior.delta0) / 2.0
-    s2 = prior.xi0 + yty + prior.mu0 @ prior.omega0 @ prior.mu0 - m @ P @ m
-    if s2 <= 0:
-        raise NumericalError(
-            f"nonpositive residual scale {s2:.3e} in normal-gamma update"
-        )
-    return LinearConditional(m, P, shape, s2 / 2.0)
+    XtX = np.asarray(XtX, dtype=float)
+    upd = ng_update_stack(
+        prior, XtX[None], np.asarray(Xty, dtype=float)[None], np.array([yty]),
+        np.array([n_eff]), where=lambda i: "",
+    )
+    return LinearConditional(upd.mean[0], XtX + prior.omega0, float(upd.shape[0]),
+                             float(upd.rate[0]))
 
 
 def linear_component_conditional(
@@ -346,20 +426,42 @@ def linear_first_component_conditional(
     return ng_conditional(prior, XtX, Xty, yty, float(data.n + mask.sum()))
 
 
-def _linear_class_stats(X0: np.ndarray, y0: np.ndarray, assign: PartitionAssignment, k: int):
-    mask = assign.c0 == k
-    Xk = X0[mask]
-    yk = y0[mask]
-    return Xk.T @ Xk, Xk.T @ yk, float(yk @ yk), float(mask.sum())
+def linear_block_weights(
+    labels: np.ndarray, data: Optional[Dataset], hist: HistoricalDataset, cfg: LeapConfig
+) -> tuple:
+    """Unnormalized log masses and first-component coefficient means of a ``(B, n0)`` label block.
 
+    Returns ``(log_weights (B,), means (B, p))``.  All classes' ``(X'X, X'y,
+    y'y, n)`` come from one product of one-hot labels with per-subject rows,
+    and each component's kernels from one :func:`ng_update_stack` call.  The
+    current data join the first component; ``data=None`` gives the prior kernel.
+    """
+    p = cfg.component_priors[0].p
+    X0 = hist_design(hist, p)
+    xx0 = np.einsum("ip,iq->ipq", X0, X0).reshape(hist.n0, p * p)
+    rows = np.column_stack([xx0, X0 * hist.y0[:, None], hist.y0**2, np.ones(hist.n0)])
+    stats = _class_stats(labels, cfg.K, rows)
+    XtX = stats[..., : p * p].reshape(labels.shape[0], cfg.K, p, p)
+    Xty = stats[..., p * p : p * p + p]
+    yty = stats[..., -2]
+    n = stats[..., -1]
+    logw = _gamma_integral_block(n, cfg)
+    if data is not None:
+        X = current_design(data, p)
+        XtX[:, 0] += X.T @ X
+        Xty[:, 0] += X.T @ data.y
+        yty[:, 0] += data.y @ data.y
+        n[:, 0] += data.n
 
-def _ng_log_kernel(cond: LinearConditional) -> float:
-    L = chol_pd(cond.precision_scale)
-    return float(
-        gammaln(cond.shape)
-        - cond.shape * np.log(cond.rate)
-        - 0.5 * logdet_from_chol(L)
-    )
+    def where(i):
+        return f" for partition c0 = ({','.join(str(v) for v in labels[i])})"
+
+    for k, prior in enumerate(cfg.component_priors):
+        upd = ng_update_stack(prior, XtX[:, k], Xty[:, k], yty[:, k], n[:, k], where)
+        logw += upd.log_kernel
+        if k == 0:
+            means = upd.mean
+    return logw, means
 
 
 def linear_log_partition_weight(
@@ -368,44 +470,9 @@ def linear_log_partition_weight(
     hist: HistoricalDataset,
     cfg: LeapConfig,
 ) -> float:
-    """Unnormalized log mass of a partition under the linear model.
-
-    Sum of per-component normal-gamma kernels plus the mixture-weight
-    integral; ``data=None`` yields the prior kernel, where the first
-    component conditions on its historical class only.
-    """
-    counts = class_counts(assign, cfg.K).astype(float)
-    if assign.n0 != hist.n0:
-        raise ValidationError("partition length must match historical sample size")
-    total = _gamma_integral_log(cfg, counts)
-    first: NormalGammaPrior = cfg.component_priors[0]
-    X0 = hist_design(hist, first.p)
-    if data is None:
-        cond1 = ng_conditional(first, *_linear_class_stats(X0, hist.y0, assign, 1))
-    else:
-        cond1 = linear_first_component_conditional(assign, data, hist, first)
-    total += _ng_log_kernel(cond1)
-    for k in range(2, cfg.K + 1):
-        prior_k: NormalGammaPrior = cfg.component_priors[k - 1]
-        cond_k = ng_conditional(prior_k, *_linear_class_stats(X0, hist.y0, assign, k))
-        total += _ng_log_kernel(cond_k)
-    return total
-
-
-def linear_conditional_mean(
-    assign: PartitionAssignment,
-    data: Optional[Dataset],
-    hist: HistoricalDataset,
-    cfg: LeapConfig,
-) -> np.ndarray:
-    """Conditional mean of the first-component coefficient vector."""
-    first: NormalGammaPrior = cfg.component_priors[0]
-    if data is None:
-        X0 = hist_design(hist, first.p)
-        cond = ng_conditional(first, *_linear_class_stats(X0, hist.y0, assign, 1))
-    else:
-        cond = linear_first_component_conditional(assign, data, hist, first)
-    return cond.beta_tilde
+    """Unnormalized log mass of one partition under the linear model (one block row)."""
+    labels = _single_partition(assign, hist, cfg)
+    return float(linear_block_weights(labels, data, hist, cfg)[0][0])
 
 
 def first_component_rate_projection_form(

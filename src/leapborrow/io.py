@@ -30,6 +30,7 @@ from .core import (
 )
 
 FORMAT_VERSION = "1"
+_CSV_BLOCK_ROWS = 4096  # partition-table rows formatted per write, at most
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +113,6 @@ def ingest_csv(
             X=X_arr,
         )
     return HistoricalDataset(y0=np.array(y), X0=X_arr)
-
-
-def design_column_names(path: str) -> list:
-    """Design column names in ingestion order (intercept columns included as-is)."""
-    with open(path, newline="") as fh:
-        header = [h.strip() for h in next(csv.reader(fh))]
-    return [h for h in header if h not in ("y", "z")]
 
 
 # ---------------------------------------------------------------------------
@@ -324,30 +318,63 @@ def write_json(path: Optional[str], doc: dict) -> str:
     return text
 
 
+def _label_cells(K: int, n0: int) -> tuple:
+    """Label cells as ``(prefixes, suffixes)``: row ``i`` is ``prefixes[i // S] + suffixes[i % S]``.
+
+    ``S = len(suffixes)`` is at most ``_CSV_BLOCK_ROWS`` where ``n0 > 1``; the
+    strings carry the quotes that :mod:`csv` puts around a cell with a comma.
+    """
+    digits = [str(v) for v in range(1, K + 1)]
+
+    def joined(n):  # comma-joined labels of n subjects, in lexicographic order
+        out = digits
+        for _ in range(n - 1):
+            out = [f"{a},{d}" for a in out for d in digits]
+        return out
+
+    if n0 == 1:
+        return [""], digits
+    s = 1
+    while s < n0 - 1 and K ** (s + 1) <= _CSV_BLOCK_ROWS:
+        s += 1
+    return [f'"{a},' for a in joined(n0 - s)], [f'{b}"' for b in joined(s)]
+
+
+def _repr_cells(col: np.ndarray) -> list:
+    """``repr`` of each float in ``col``, formatting every distinct bit pattern once.
+
+    Partitions with equal class statistics share their weight and means, so
+    Poisson columns hold far fewer distinct values than rows.
+    """
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
 def write_partition_csv(path: str, table, mean_labels: Optional[list] = None):
-    """Partition table as CSV; vector-valued means expand into indexed columns."""
-    if table.rows is None:
+    """Partition table as CSV; vector-valued means expand into indexed columns.
+
+    Written a block of rows at a time from the table's columns: ``repr`` floats
+    and the quoting and CRLF line ends of :mod:`csv`, with the label cell
+    of each row built from a shared prefix and suffix string.
+    """
+    if not table.materialized:
         raise ValidationError("partition table was not materialized; lower n0 or request rows")
-    dim = table.rows[0].cond_prior_mean.size
+    dim = table.cond_prior_mean.shape[1]
     if mean_labels is None:
-        if dim == 1:
-            mean_labels = [""]
-        else:
-            mean_labels = [f"_{j + 1}" for j in range(dim)]
-    head = ["c0", "prior_prob"]
-    if table.has_posterior:
-        head.append("post_prob")
+        mean_labels = [""] if dim == 1 else [f"_{j + 1}" for j in range(dim)]
+    head = ["c0", "prior_prob"] + (["post_prob"] if table.has_posterior else [])
     head += [f"prior_mean{s}" for s in mean_labels]
+    columns = [table.prior_prob] + ([table.posterior_prob] if table.has_posterior else [])
+    columns += list(table.cond_prior_mean.T)
     if table.has_posterior:
         head += [f"post_mean{s}" for s in mean_labels]
+        columns += list(table.cond_post_mean.T)
+    prefixes, suffixes = _label_cells(table.K, table.n0)
+    step = len(suffixes)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(head)
-        for row in table.rows:
-            cells = [",".join(str(v) for v in row.c0), _fmt(row.prior_prob)]
-            if table.has_posterior:
-                cells.append(_fmt(row.posterior_prob))
-            cells += [_fmt(v) for v in row.cond_prior_mean]
-            if table.has_posterior:
-                cells += [_fmt(v) for v in row.cond_post_mean]
-            writer.writerow(cells)
+        csv.writer(fh).writerow(head)
+        for j, prefix in enumerate(prefixes):
+            cells = [[prefix + s for s in suffixes]]
+            cells += [_repr_cells(col[j * step:(j + 1) * step]) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")

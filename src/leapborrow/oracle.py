@@ -13,12 +13,11 @@ blocks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from . import conjugate
 from .core import (
@@ -30,7 +29,7 @@ from .core import (
     ValidationError,
     validate_config,
 )
-from .pool import worker_pool
+from .pool import pool_size, worker_pool
 
 DEFAULT_CAP = 2**20
 BLOCK_SIZE = 4096
@@ -41,19 +40,25 @@ def partition_count(K: int, n0: int) -> int:
     return K**n0
 
 
+def _check_cap(K: int, n0: int, cap: int) -> int:
+    total = partition_count(K, n0)
+    if total > cap:
+        raise EnumerationCapError(
+            f"{K}^{n0} = {total} partitions exceeds the enumeration cap {cap}"
+        )
+    return total
+
+
 def enumerate_partitions(
     K: int, n0: int, cap: int = DEFAULT_CAP
 ) -> Iterator[PartitionAssignment]:
     """All partitions in lexicographic label order, capped at ``cap`` items."""
     if K < 1 or n0 < 1:
         raise ValidationError("K and n0 must be >= 1")
-    total = partition_count(K, n0)
-    if total > cap:
-        raise EnumerationCapError(
-            f"{K}^{n0} = {total} partitions exceeds the enumeration cap {cap}"
-        )
-    for labels in itertools.product(range(1, K + 1), repeat=n0):
-        yield PartitionAssignment(np.array(labels, dtype=np.int64))
+    total = _check_cap(K, n0, cap)
+    for start in range(0, total, BLOCK_SIZE):
+        for labels in _label_block(start, min(start + BLOCK_SIZE, total), K, n0):
+            yield PartitionAssignment(labels)
 
 
 def _label_block(start: int, stop: int, K: int, n0: int) -> np.ndarray:
@@ -67,17 +72,12 @@ def _label_block(start: int, stop: int, K: int, n0: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PartitionRow:
-    c0: tuple
-    prior_prob: float
-    cond_prior_mean: np.ndarray
-    posterior_prob: Optional[float] = None
-    cond_post_mean: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class PartitionTable:
-    """Normalized partition summaries; ``rows`` is None beyond the materialize limit."""
+    """Normalized partition summaries, with per-partition columns when materialized.
+
+    Row ``i`` of the columns is the ``i``-th partition in lexicographic label
+    order, whose labels :meth:`labels` regenerates; unmaterialized columns are None.
+    """
 
     K: int
     n0: int
@@ -85,21 +85,40 @@ class PartitionTable:
     prior_ssc: np.ndarray
     prior_mean: np.ndarray
     log_prior_norm: float
-    rows: Optional[tuple] = None
+    prior_prob: Optional[np.ndarray] = None
+    cond_prior_mean: Optional[np.ndarray] = None
     post_ssc: Optional[np.ndarray] = None
     post_mean: Optional[np.ndarray] = None
     log_post_norm: Optional[float] = None
+    posterior_prob: Optional[np.ndarray] = None
+    cond_post_mean: Optional[np.ndarray] = None
+
+    @property
+    def materialized(self) -> bool:
+        return self.prior_prob is not None
+
+    def labels(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Labels of rows ``start:stop`` (all rows by default), values in 1..K."""
+        total = partition_count(self.K, self.n0)
+        return _label_block(start, total if stop is None else stop, self.K, self.n0)
 
 
 class _StreamAccumulator:
-    """Streaming log-sum-exp normalizer with rescaled weighted-mean accumulators."""
+    """Streaming log-sum-exp normalizer with rescaled weighted-mean accumulators.
 
-    def __init__(self, mean_dim: int, n0: int):
+    With ``keep`` it also keeps each block's log weights and means for the table columns.
+    """
+
+    def __init__(self, mean_dim: int, n0: int, keep: bool):
         self.lse = -np.inf
         self.mean_acc = np.zeros(mean_dim)
         self.ssc_log = np.full(n0 + 1, -np.inf)
+        self.kept = ([], []) if keep else None
 
     def add_block(self, logw: np.ndarray, means: np.ndarray, n01: np.ndarray):
+        if self.kept is not None:
+            self.kept[0].append(logw)
+            self.kept[1].append(means)
         finite = logw > -np.inf
         if not np.any(finite):
             return
@@ -120,73 +139,22 @@ class _StreamAccumulator:
     def ssc_pmf(self) -> np.ndarray:
         return np.exp(self.ssc_log - self.lse)
 
-
-def _gamma_integral_block(counts: np.ndarray, cfg: LeapConfig) -> np.ndarray:
-    """Rowwise log mixture-weight integral, vectorized over a block of counts."""
-    if cfg.K == 1:
-        return np.zeros(counts.shape[0])
-    from scipy.special import betainc, betaln
-
-    v = counts + cfg.alpha0
-    v1 = v[:, 0]
-    tail = v[:, 1:].sum(axis=1)
-    mass = betainc(v1, tail, cfg.trunc_b) - betainc(v1, tail, cfg.trunc_a)
-    with np.errstate(divide="ignore"):
-        lm = np.where(mass > 0, np.log(np.maximum(mass, 1e-320)), -np.inf)
-    out = betaln(v1, tail) + lm
-    if cfg.K > 2:
-        out += gammaln(v[:, 1:]).sum(axis=1) - gammaln(tail)
-    return out
-
-
-def _poisson_block_weights(labels, data, hist, cfg):
-    """Vectorized log weights and conditional means for a block of partitions."""
-    counts = np.empty((labels.shape[0], cfg.K))
-    sums = np.empty_like(counts)
-    for k in range(cfg.K):
-        mask = labels == k + 1
-        counts[:, k] = mask.sum(axis=1)
-        sums[:, k] = mask @ hist.y0
-    eta = sums + np.array([p.eta0 for p in cfg.component_priors])
-    beta = counts + np.array([p.beta0 for p in cfg.component_priors])
-    if data is not None:
-        eta[:, 0] += float(data.y.sum())
-        beta[:, 0] += data.n
-    logw = np.sum(gammaln(eta) - eta * np.log(beta), axis=1)
-    logw += _gamma_integral_block(counts, cfg)
-    return logw, (eta[:, 0] / beta[:, 0])[:, None]
-
-
-def _linear_block_weights(labels, data, hist, cfg):
-    first: conjugate.NormalGammaPrior = cfg.component_priors[0]
-    logw = np.empty(labels.shape[0])
-    means = np.empty((labels.shape[0], first.p))
-    for i in range(labels.shape[0]):
-        assign = PartitionAssignment(labels[i])
-        logw[i] = conjugate.linear_log_partition_weight(assign, data, hist, cfg)
-        means[i] = conjugate.linear_conditional_mean(assign, data, hist, cfg)
-    return logw, means
-
-
-def _block_weights(labels, data, hist, cfg):
-    if cfg.model_kind == "poisson":
-        return _poisson_block_weights(labels, data, hist, cfg)
-    return _linear_block_weights(labels, data, hist, cfg)
+    def columns(self) -> tuple:
+        """Normalized probabilities and conditional means of every kept row (None if not kept)."""
+        if self.kept is None:
+            return None, None
+        return np.exp(np.concatenate(self.kept[0]) - self.lse), np.concatenate(self.kept[1])
 
 
 def _block_task(args):
-    """Weights of one index block; the label block is returned only when materializing."""
-    start, stop, data, hist, cfg, want_posterior, materialize = args
+    """Log weights, conditional means and class-1 counts of one index block."""
+    start, stop, data, hist, cfg = args
+    weights = (conjugate.poisson_block_weights if cfg.model_kind == "poisson"
+               else conjugate.linear_block_weights)
     labels = _label_block(start, stop, cfg.K, hist.n0)
-    n01 = (labels == 1).sum(axis=1)
-    logw_prior, prior_means = _block_weights(labels, None, hist, cfg)
-    if want_posterior:
-        logw_post, post_means = _block_weights(labels, data, hist, cfg)
-    else:
-        logw_post, post_means = None, None
-    if not materialize:
-        labels = None
-    return labels, logw_prior, prior_means, logw_post, post_means, n01
+    logw_prior, prior_means = weights(labels, None, hist, cfg)
+    logw_post, post_means = weights(labels, data, hist, cfg) if data is not None else (None, None)
+    return logw_prior, prior_means, logw_post, post_means, (labels == 1).sum(axis=1)
 
 
 def _build_table(
@@ -198,74 +166,40 @@ def _build_table(
     workers: int,
 ) -> PartitionTable:
     validate_config(cfg, data, hist).raise_if_invalid()
-    total = partition_count(cfg.K, hist.n0)
-    if total > cap:
-        raise EnumerationCapError(
-            f"{cfg.K}^{hist.n0} = {total} partitions exceeds the enumeration cap {cap}"
-        )
+    total = _check_cap(cfg.K, hist.n0, cap)
     if materialize is None:
         materialize = total <= MATERIALIZE_LIMIT
     want_posterior = data is not None
 
     first = cfg.component_priors[0]
     mean_dim = 1 if cfg.model_kind == "poisson" else first.p
-    prior_acc = _StreamAccumulator(mean_dim, hist.n0)
-    post_acc = _StreamAccumulator(mean_dim, hist.n0) if want_posterior else None
+    prior_acc = _StreamAccumulator(mean_dim, hist.n0, materialize)
+    post_acc = _StreamAccumulator(mean_dim, hist.n0, materialize) if want_posterior else None
 
-    bounds = [(s, min(s + BLOCK_SIZE, total)) for s in range(0, total, BLOCK_SIZE)]
-    tasks = [(s, e, data, hist, cfg, want_posterior, materialize) for s, e in bounds]
-    if workers > 1 and len(tasks) > 1:
-        with worker_pool(workers) as pool:
+    tasks = [(s, min(s + BLOCK_SIZE, total), data, hist, cfg) for s in range(0, total, BLOCK_SIZE)]
+    size = pool_size(workers, len(tasks))
+    if size > 1:
+        with worker_pool(size) as pool:
             results = list(pool.map(_block_task, tasks, chunksize=1))
     else:
         results = map(_block_task, tasks)
 
-    kept_rows = [] if materialize else None
-    kept_prior_logw = [] if materialize else None
-    kept_post_logw = [] if materialize else None
-    for labels, logw_prior, prior_means, logw_post, post_means, n01 in results:
+    for logw_prior, prior_means, logw_post, post_means, n01 in results:
         prior_acc.add_block(logw_prior, prior_means, n01)
         if want_posterior:
             post_acc.add_block(logw_post, post_means, n01)
-        if materialize:
-            for i in range(labels.shape[0]):
-                kept_rows.append(
-                    (tuple(int(v) for v in labels[i]), prior_means[i].copy(),
-                     post_means[i].copy() if want_posterior else None)
-                )
-            kept_prior_logw.append(logw_prior)
-            if want_posterior:
-                kept_post_logw.append(logw_post)
 
-    rows = None
-    if materialize:
-        lw_prior = np.concatenate(kept_prior_logw)
-        prior_probs = np.exp(lw_prior - prior_acc.lse)
-        if want_posterior:
-            lw_post = np.concatenate(kept_post_logw)
-            post_probs = np.exp(lw_post - post_acc.lse)
-        rows = tuple(
-            PartitionRow(
-                c0=c0,
-                prior_prob=float(prior_probs[i]),
-                cond_prior_mean=pm,
-                posterior_prob=float(post_probs[i]) if want_posterior else None,
-                cond_post_mean=qm,
-            )
-            for i, (c0, pm, qm) in enumerate(kept_rows)
-        )
-
+    post = {}
+    if want_posterior:
+        posterior_prob, cond_post_mean = post_acc.columns()
+        post = dict(post_ssc=post_acc.ssc_pmf(), post_mean=post_acc.mean_acc.copy(),
+                    log_post_norm=post_acc.lse, posterior_prob=posterior_prob,
+                    cond_post_mean=cond_post_mean)
+    prior_prob, cond_prior_mean = prior_acc.columns()
     return PartitionTable(
-        K=cfg.K,
-        n0=hist.n0,
-        has_posterior=want_posterior,
-        prior_ssc=prior_acc.ssc_pmf(),
-        prior_mean=prior_acc.mean_acc.copy(),
-        log_prior_norm=prior_acc.lse,
-        rows=rows,
-        post_ssc=post_acc.ssc_pmf() if want_posterior else None,
-        post_mean=post_acc.mean_acc.copy() if want_posterior else None,
-        log_post_norm=post_acc.lse if want_posterior else None,
+        K=cfg.K, n0=hist.n0, has_posterior=want_posterior, prior_ssc=prior_acc.ssc_pmf(),
+        prior_mean=prior_acc.mean_acc.copy(), log_prior_norm=prior_acc.lse,
+        prior_prob=prior_prob, cond_prior_mean=cond_prior_mean, **post,
     )
 
 

@@ -86,6 +86,18 @@ def single_thread_blas():
             shutdown()
 
 
+def pool_size(workers: int, tasks: int) -> int:
+    """Processes to start for ``tasks`` independent tasks: ``min(workers, tasks, CPUs)``.
+
+    A size of 1 means the tasks run in the calling process, with no pool.
+    """
+    if workers < 1:
+        from .core import ValidationError
+
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
 def worker_pool(workers: int) -> ProcessPoolExecutor:
     """Process pool of ``workers`` processes, each with single-threaded BLAS."""
     return ProcessPoolExecutor(max_workers=workers, initializer=single_thread_blas)

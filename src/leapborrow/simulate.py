@@ -22,7 +22,7 @@ import numpy as np
 from . import comparators, diagnostics, gibbs
 from .conjugate import NormalGammaPrior
 from .core import Dataset, HistoricalDataset, LeapConfig, ValidationError
-from .pool import worker_pool
+from .pool import pool_size, worker_pool
 
 TRUE_COEFFS = np.array([-18.00, 0.49, -1.67, 1.99])  # intercept, age, age^2, score
 TRUE_TREATMENT_EFFECT = -35.39
@@ -235,8 +235,9 @@ def run_simulation(
             )
     settings = settings or SamplerSettings()
     tasks = [(scenario, rep, priors, settings) for rep in range(scenario.reps)]
-    if workers > 1 and scenario.reps > 1:
-        with worker_pool(workers) as pool:
+    size = pool_size(workers, len(tasks))
+    if size > 1:
+        with worker_pool(size) as pool:
             results = list(pool.map(_rep_worker, tasks, chunksize=1))
     else:
         results = [_rep_worker(t) for t in tasks]

@@ -22,6 +22,7 @@ from leapborrow.conjugate import (
     chol_pd,
     chol_pd_stack,
     first_component_rate_projection_form,
+    linear_block_weights,
     ng_conditional,
 )
 from leapborrow.core import NumericalError
@@ -369,6 +370,58 @@ class TestLinearPartitionWeight:
             linear_log_partition_weight(
                 PartitionAssignment(np.ones(hist.n0, dtype=int)), data, bad, cfg
             )
+
+
+class TestLinearBlockWeights:
+    def _check_against_mp(self, data, hist, cfg):
+        parts = list(itertools.product(range(1, cfg.K + 1), repeat=hist.n0))
+        for d in (data, None):
+            logw, _ = linear_block_weights(np.array(parts), d, hist, cfg)
+            w = np.exp(logw - logw.max())
+            w /= w.sum()
+            oracle = np.array(
+                [mp_linear_log_weight(PartitionAssignment(np.array(p)), d, hist, cfg)
+                 for p in parts]
+            )
+            ow = np.exp(oracle - oracle.max())
+            ow /= ow.sum()
+            assert np.max(np.abs(w - ow)) < 1e-9
+
+    def test_k2_matches_extended_precision(self):
+        self._check_against_mp(*random_linear_instance(41, n0=6, p=2))
+
+    def test_k3_matches_extended_precision(self):
+        data, hist, cfg = random_linear_instance(42, n0=5, p=2)
+        third = NormalGammaPrior(np.ones(2), 0.8 * np.eye(2), 1.5, 3.0)
+        cfg3 = LeapConfig(
+            K=3, alpha0=np.array([0.9, 0.7, 0.5]),
+            component_priors=cfg.component_priors + (third,), model_kind="normal_linear",
+        )
+        self._check_against_mp(data, hist, cfg3)
+
+    def test_block_rows_match_single_partition_calls(self):
+        data, hist, cfg = random_linear_instance(43, n0=5, p=3)
+        labels = np.array(list(itertools.product([1, 2], repeat=hist.n0)))
+        logw, means = linear_block_weights(labels, data, hist, cfg)
+        for i in (0, 7, 31):
+            assign = PartitionAssignment(labels[i])
+            assert linear_log_partition_weight(assign, data, hist, cfg) == pytest.approx(
+                logw[i], rel=1e-13
+            )
+            cond = linear_first_component_conditional(assign, data, hist, cfg.component_priors[0])
+            assert np.allclose(means[i], cond.beta_tilde, rtol=1e-12, atol=1e-14)
+
+    def test_near_singular_class_precision_raises(self):
+        # a weak first prior and a treatment column the all-control history lacks:
+        # without current data the first class precision is singular in that direction
+        _, hist, _ = random_linear_instance(44, n0=4, p=2)
+        weak = NormalGammaPrior(np.zeros(3), 1e-14 * np.eye(3), 1.0, 1.0)
+        proper = NormalGammaPrior(np.zeros(3), 0.5 * np.eye(3), 2.0, 2.0)
+        cfg = LeapConfig(K=2, alpha0=np.array([0.9, 0.9]), component_priors=(weak, proper),
+                         model_kind="normal_linear")
+        labels = np.array(list(itertools.product([1, 2], repeat=hist.n0)))
+        with pytest.raises(NumericalError, match="near-singular.*for partition c0 = "):
+            linear_block_weights(labels, None, hist, cfg)
 
 
 class TestCholStack:

@@ -1,13 +1,30 @@
 import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from leapborrow import ValidationError
+from leapborrow import (
+    Dataset,
+    HistoricalDataset,
+    LeapConfig,
+    PoissonGammaPrior,
+    ValidationError,
+    posterior_partition_table,
+    prior_partition_table,
+)
 from leapborrow.cli import main
-from leapborrow.io import ingest_csv, load_config, read_draws_csv, write_draws_csv
+from leapborrow.io import (
+    ingest_csv,
+    load_config,
+    read_draws_csv,
+    write_draws_csv,
+    write_partition_csv,
+)
 from leapborrow.core import DrawsMatrix
+
+from conftest import random_linear_instance
 
 
 @pytest.fixture
@@ -397,6 +414,107 @@ class TestCliEnumerate:
             rows = list(csv.DictReader(fh))
         assert "post_prob" not in rows[0]
         assert float(rows[0]["prior_prob"]) == pytest.approx(0.319, abs=0.005)
+
+
+def reference_partition_csv(path, table):
+    """The table CSV row by row through ``csv.writer``, labels from ``itertools.product``."""
+    dim = table.cond_prior_mean.shape[1]
+    sfx = [""] if dim == 1 else [f"_{j + 1}" for j in range(dim)]
+    post = table.has_posterior
+    head = ["c0", "prior_prob"] + (["post_prob"] if post else [])
+    head += [f"prior_mean{s}" for s in sfx] + ([f"post_mean{s}" for s in sfx] if post else [])
+    labels = itertools.product(range(1, table.K + 1), repeat=table.n0)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(head)
+        for i, c0 in enumerate(labels):
+            cells = [",".join(str(v) for v in c0), repr(float(table.prior_prob[i]))]
+            if post:
+                cells.append(repr(float(table.posterior_prob[i])))
+            cells += [repr(float(v)) for v in table.cond_prior_mean[i]]
+            if post:
+                cells += [repr(float(v)) for v in table.cond_post_mean[i]]
+            writer.writerow(cells)
+
+
+class TestPartitionCsv:
+    def _assert_same_bytes(self, table, tmp_path):
+        write_partition_csv(str(tmp_path / "got.csv"), table)
+        reference_partition_csv(str(tmp_path / "ref.csv"), table)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        return got
+
+    def test_poisson_k2_with_data(self, tmp_path):
+        # 2**13 rows: more than one block of label suffixes
+        rng = np.random.default_rng(31)
+        hist = HistoricalDataset(y0=rng.poisson(3.0, size=13).astype(float))
+        data = Dataset(y=rng.poisson(2.0, size=9).astype(float))
+        prior = PoissonGammaPrior(0.1, 0.1)
+        cfg = LeapConfig(K=2, alpha0=np.array([0.9, 0.9]), component_priors=(prior, prior),
+                         model_kind="poisson")
+        got = self._assert_same_bytes(posterior_partition_table(data, hist, cfg), tmp_path)
+        assert got.count(b"\r\n") == 2**13 + 1
+
+    def test_poisson_k3_truncated_prior_only(self, tmp_path):
+        rng = np.random.default_rng(32)
+        hist = HistoricalDataset(y0=rng.poisson(3.0, size=8).astype(float))
+        cfg = LeapConfig(
+            K=3, alpha0=np.array([1.0, 0.8, 0.6]),
+            component_priors=(PoissonGammaPrior(0.1, 0.1), PoissonGammaPrior(1.0, 1.0),
+                              PoissonGammaPrior(2.0, 0.5)),
+            model_kind="poisson", trunc_a=0.1, trunc_b=0.6,
+        )
+        got = self._assert_same_bytes(prior_partition_table(hist, cfg), tmp_path)
+        assert b"post_prob" not in got
+
+    def test_single_subject_label_is_unquoted(self, tmp_path):
+        hist = HistoricalDataset(y0=np.array([4.0]))
+        prior = PoissonGammaPrior(0.1, 0.1)
+        cfg = LeapConfig(K=2, alpha0=np.array([1.0, 1.0]), component_priors=(prior, prior),
+                         model_kind="poisson")
+        data = Dataset(y=np.array([1.0, 2.0]))
+        got = self._assert_same_bytes(posterior_partition_table(data, hist, cfg), tmp_path)
+        lines = got.split(b"\r\n")
+        assert lines[1].startswith(b"1,") and lines[2].startswith(b"2,")
+
+    def test_linear_p3(self, tmp_path):
+        data, hist, cfg = random_linear_instance(33, n=12, n0=7, p=3)
+        got = self._assert_same_bytes(posterior_partition_table(data, hist, cfg), tmp_path)
+        assert got.startswith(b"c0,prior_prob,post_prob,prior_mean_1,prior_mean_2,")
+        assert got.splitlines()[1].startswith(b'"1,1,1,1,1,1,1",')
+
+    def test_unmaterialized_table_is_rejected(self, tmp_path):
+        rng = np.random.default_rng(34)
+        hist = HistoricalDataset(y0=rng.poisson(3.0, size=4).astype(float))
+        prior = PoissonGammaPrior(0.1, 0.1)
+        cfg = LeapConfig(K=2, alpha0=np.array([1.0, 1.0]), component_priors=(prior, prior),
+                         model_kind="poisson")
+        lean = prior_partition_table(hist, cfg, materialize=False)
+        with pytest.raises(ValidationError, match="not materialized"):
+            write_partition_csv(str(tmp_path / "t.csv"), lean)
+
+
+class TestCliWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_enumerate_rejects_fewer_than_one(self, table1_files, tmp_path, capsys, workers):
+        cur, hist, cfg = table1_files
+        out = tmp_path / "t.csv"
+        rc = main(["enumerate", "--data", cur, "--hist", hist, "--config", cfg,
+                   "--workers", workers, "--out", str(out)])
+        assert rc == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_simulate_rejects_fewer_than_one(self, tmp_path, capsys, workers):
+        out = tmp_path / "sim.json"
+        rc = main(["simulate", "--scenario", "full", "--n0", "10", "--reps", "2",
+                   "--priors", "reference", "--draws", "100", "--burn-in", "10",
+                   "--workers", workers, "--out", str(out)])
+        assert rc == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliSsc:

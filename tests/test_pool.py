@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from leapborrow.pool import openblas_thread_counts, single_thread_blas, worker_pool
+from leapborrow import ValidationError
+from leapborrow.pool import openblas_thread_counts, pool_size, single_thread_blas, worker_pool
 
 
 def _worker_report():
@@ -34,3 +35,18 @@ def test_initializer_without_openblas_is_a_no_op(monkeypatch):
     monkeypatch.setattr(pool_mod, "_loaded_openblas_paths", lambda: [])
     single_thread_blas()
     assert pool_mod.openblas_thread_counts() == []
+
+
+@pytest.mark.parametrize(
+    "workers, tasks, cpus, size",
+    [(1, 10, 8, 1), (4, 10, 8, 4), (64, 3, 8, 3), (64, 100, 2, 2), (2, 1, 8, 1), (3, 5, None, 1)],
+)
+def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch, workers, tasks, cpus, size):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert pool_size(workers, tasks) == size
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_pool_size_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValidationError, match="workers must be >= 1"):
+        pool_size(workers, 4)
