@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cholesky
-from scipy.special import betaln, gammaln
+from scipy.special import gammaln
 
+from . import ptd
 from .core import (
     Dataset,
     HistoricalDataset,
@@ -122,24 +122,8 @@ class LinearConditional:
 
 
 def chol_pd(A: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with a relative pivot check.
-
-    Fails when any squared pivot drops below ``1e-12 * trace / p``, reporting
-    conditioning diagnostics, so downstream code never works with a factor of
-    a numerically indefinite matrix.
-    """
-    p = A.shape[0]
-    floor = _PIVOT_RTOL * max(np.trace(A), 0.0) / max(p, 1)
-    try:
-        L = cholesky(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"matrix not positive definite: {exc}") from exc
-    except Exception as exc:  # scipy raises LinAlgError from scipy.linalg
-        raise NumericalError(f"matrix not positive definite: {exc}") from exc
-    piv = np.diag(L) ** 2
-    if np.any(piv < floor):
-        raise _near_singular(A, piv.min(), floor)
-    return L
+    """Lower Cholesky factor of one matrix: :func:`chol_pd_stack` on a stack of one."""
+    return chol_pd_stack(np.asarray(A, dtype=float)[None], where=lambda i: "")[0]
 
 
 def _stack_index(i: int) -> str:
@@ -147,23 +131,25 @@ def _stack_index(i: int) -> str:
 
 
 def chol_pd_stack(A: np.ndarray, where: Callable[[int], str] = _stack_index) -> np.ndarray:
-    """Lower Cholesky factors of a ``(G, p, p)`` stack, with :func:`chol_pd`'s check.
+    """Lower Cholesky factors of a ``(G, p, p)`` stack with a relative pivot check.
 
-    The pivot floor ``1e-12 * trace / p`` is taken per matrix; the error names
-    the first matrix in the stack that breaches it, as ``where(i)``.
+    Fails when any squared pivot drops below ``1e-12 * trace / p`` of its
+    matrix, reporting conditioning diagnostics, so downstream code never works
+    with a factor of a numerically indefinite matrix.  The error names the
+    first matrix in the stack that breaches the floor, as ``where(i)``.
     """
-    p = A.shape[-1]
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NumericalError("matrix not positive definite: non-finite entries")
-    floor = _PIVOT_RTOL * np.maximum(np.trace(A, axis1=1, axis2=2), 0.0) / max(p, 1)
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"matrix not positive definite: {exc}") from exc
+    # a factored matrix has a positive trace
+    floor = _PIVOT_RTOL * np.trace(A, axis1=1, axis2=2) / max(A.shape[-1], 1)
     piv = np.diagonal(L, axis1=1, axis2=2) ** 2
-    bad = np.flatnonzero(np.any(piv < floor[:, None], axis=1))
-    if bad.size:
-        i = bad[0]
+    ok = piv >= floor[:, None]
+    if not ok.all():
+        i = np.flatnonzero(~ok.all(axis=1))[0]
         raise _near_singular(A[i], piv[i].min(), floor[i], where=where(i))
     return L
 
@@ -217,22 +203,24 @@ def poisson_component_posterior(
 def _gamma_integral_block(counts: np.ndarray, cfg: LeapConfig) -> np.ndarray:
     """Log of the mixture-weight integral over the (possibly truncated) simplex, per row of counts.
 
-    ``-inf`` marks partitions whose updated weight distribution has no mass
-    inside the truncation interval; such partitions are simply impossible
-    rather than numerical failures.
+    Every row partitions the same ``n0`` subjects, so the truncated-beta
+    factor depends only on the first-class count: it is evaluated once for
+    each of the ``n0 + 1`` counts and gathered.  ``-inf`` marks partitions
+    whose updated weight distribution has no mass inside the truncation
+    interval; such partitions are simply impossible rather than numerical
+    failures.
     """
     if cfg.K == 1:
         return np.zeros(counts.shape[0])
-    from scipy.special import betainc
-
-    v = counts + cfg.alpha0
-    v1 = v[:, 0]
-    tail = v[:, 1:].sum(axis=1)
-    mass = betainc(v1, tail, cfg.trunc_b) - betainc(v1, tail, cfg.trunc_a)
-    with np.errstate(divide="ignore"):
-        out = betaln(v1, tail) + np.log(np.maximum(mass, 0.0))
+    n0 = int(counts[0].sum())
+    first = np.arange(n0 + 1)
+    by_first = ptd.log_beta_interval(
+        first + cfg.alpha0[0], n0 - first + cfg.alpha0[1:].sum(), cfg.trunc_a, cfg.trunc_b
+    )
+    out = by_first[counts[:, 0].astype(np.intp)]
     if cfg.K > 2:
-        out += gammaln(v[:, 1:]).sum(axis=1) - gammaln(tail)
+        v = counts[:, 1:] + cfg.alpha0[1:]
+        out += gammaln(v).sum(axis=1) - gammaln(v.sum(axis=1))
     return out
 
 

@@ -6,30 +6,76 @@ truncated beta, the rescaled tail is an ordinary Dirichlet, and the family is
 conjugate to multinomial counts, which is everything a blocked Gibbs update
 for mixture weights needs.
 
-All beta/gamma functions are evaluated in log space; interval masses use the
-regularized incomplete beta function.
+All beta/gamma functions are evaluated in log space.  Interval masses and the
+sampler's inverse CDF work on the interval's smaller tail (``betainc`` below
+the median, ``betaincc`` above it), so an interval far in either tail keeps
+its digits instead of cancelling between two values near 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln, xlogy
+from scipy.special import (
+    betainc,
+    betaincc,
+    betainccinv,
+    betaincinv,
+    betaln,
+    gammaln,
+    xlog1py,
+    xlogy,
+)
 
 from .core import NumericalError, ValidationError
 
 _MASS_FLOOR = 1e-300
-_REJECTION_CAP = 1_000_000
+# intervals holding less than this share of their tail are drawn by rejection:
+# the inverse CDF cannot resolve them
+_RESOLUTION = 1e-6
+
+
+class TruncInterval(NamedTuple):
+    """Tail probabilities of ``Beta(alpha, beta)`` at the ends of ``(a, b)``.
+
+    ``ta``/``tb`` are the CDF values at ``a``/``b`` where ``upper`` is false
+    and the survival values where it is true; ``mass = |tb - ta|``.
+    """
+
+    upper: np.ndarray
+    ta: np.ndarray
+    tb: np.ndarray
+    mass: np.ndarray
+
+
+def trunc_beta_interval(alpha, beta, a, b) -> TruncInterval:
+    """Mass of ``Beta(alpha, beta)`` on ``(a, b)``, elementwise, from the smaller tail.
+
+    The side is the one whose larger end value is smaller: CDF values when
+    ``betainc(b) <= betaincc(a)``, survival values otherwise.  The mass is then
+    a difference of values no larger than the tail it lies in.
+    """
+    Fa, Fb = betainc(alpha, beta, a), betainc(alpha, beta, b)
+    Sa, Sb = betaincc(alpha, beta, a), betaincc(alpha, beta, b)
+    upper = Fb > Sa
+    ta, tb = np.where(upper, Sa, Fa), np.where(upper, Sb, Fb)
+    return TruncInterval(upper, ta, tb, np.abs(tb - ta))
 
 
 @dataclass(frozen=True)
 class PtdParams:
-    """Concentration vector plus truncation bounds on the first coordinate."""
+    """Concentration vector plus truncation bounds on the first coordinate.
+
+    ``interval`` holds the first coordinate's :class:`TruncInterval`.
+    """
 
     alpha: np.ndarray
     a: float = 0.0
     b: float = 1.0
+    interval: TruncInterval = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=float)
@@ -44,8 +90,10 @@ class PtdParams:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if trunc_beta_log_mass(self.alpha1, self.alpha_rest_sum, a, b) == -np.inf:
+        interval = trunc_beta_interval(self.alpha1, self.alpha_rest_sum, a, b)
+        if interval.mass == 0.0:
             raise ValidationError("truncated beta mass vanishes on (a, b)")
+        object.__setattr__(self, "interval", interval)
 
     @property
     def K(self) -> int:
@@ -60,21 +108,15 @@ class PtdParams:
         return float(self.alpha[1:].sum())
 
 
-def trunc_beta_log_mass(alpha: float, beta: float, a: float, b: float) -> float:
-    """``log P(a < Y < b)`` for ``Y ~ Beta(alpha, beta)``; ``-inf`` if empty."""
-    mass = betainc(alpha, beta, b) - betainc(alpha, beta, a)
-    if mass <= 0.0:
-        return -np.inf
-    return float(np.log(mass))
+def log_beta_interval(alpha, beta, a, b):
+    """Log of the unnormalized beta integral over ``(a, b)``, elementwise.
 
-
-def log_beta_interval(alpha: float, beta: float, a: float, b: float) -> float:
-    """Log of the unnormalized beta integral over ``(a, b)``.
-
-    This is ``log B(alpha, beta)`` plus the log interval mass; for
-    ``(a, b) = (0, 1)`` it reduces to the complete log beta function.
+    This is ``log B(alpha, beta)`` plus the log interval mass, ``-inf`` where
+    the mass underflows to 0; for ``(a, b) = (0, 1)`` it reduces to the
+    complete log beta function.
     """
-    return float(betaln(alpha, beta)) + trunc_beta_log_mass(alpha, beta, a, b)
+    with np.errstate(divide="ignore"):
+        return betaln(alpha, beta) + np.log(trunc_beta_interval(alpha, beta, a, b).mass)
 
 
 def log_multivariate_beta(alpha: np.ndarray) -> float:
@@ -90,18 +132,14 @@ def log_norm_const(params: PtdParams) -> float:
     Factorizes as the truncated beta integral for the first coordinate times
     the multivariate beta function of the remaining concentrations.
     """
-    lm = trunc_beta_log_mass(params.alpha1, params.alpha_rest_sum, params.a, params.b)
-    if lm == -np.inf or np.exp(lm) < _MASS_FLOOR:
+    alpha, beta, a, b = marginal_first(params)
+    mass = float(params.interval.mass)
+    if mass < _MASS_FLOOR:
         raise NumericalError(
             "degenerate truncation: interval mass below "
-            f"{_MASS_FLOOR:g} for Beta({params.alpha1}, {params.alpha_rest_sum}) "
-            f"on ({params.a}, {params.b})"
+            f"{_MASS_FLOOR:g} for Beta({alpha}, {beta}) on ({a}, {b})"
         )
-    return (
-        float(betaln(params.alpha1, params.alpha_rest_sum))
-        + lm
-        + log_multivariate_beta(params.alpha[1:])
-    )
+    return float(betaln(alpha, beta)) + np.log(mass) + log_multivariate_beta(params.alpha[1:])
 
 
 def log_density(params: PtdParams, gamma, tol: float = 1e-10) -> float:
@@ -162,99 +200,51 @@ def posterior_update(params: PtdParams, counts) -> PtdParams:
     return PtdParams(params.alpha + counts, params.a, params.b)
 
 
-def trunc_beta_ppf(u, alpha: float, beta: float, atol: float = 1e-12):
-    """Quantile of ``Beta(alpha, beta)`` by bracketed Newton with bisection fallback.
+def _narrow_draws(alpha: float, beta: float, a: float, b: float, n: int, rng) -> np.ndarray:
+    """``n`` draws of ``Beta(alpha, beta)`` on ``(a, b)`` by rejection from Uniform(a, b).
 
-    ``u`` may be a scalar or array of probabilities in ``[0, 1]``.  Newton
-    iterates on the regularized incomplete beta CDF with the analytic beta
-    density as derivative, clamped to a shrinking bracket; steps that leave
-    the bracket or hit a flat density degrade to bisection.
+    The envelope is the density's maximum on ``[a, b]``, found among the
+    endpoints and the mode.  Proposals that round onto ``a`` or ``b`` are
+    rejected, so every draw lies strictly inside.
     """
-    scalar = np.isscalar(u) or np.ndim(u) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any((u < 0) | (u > 1)):
-        raise ValidationError("probabilities must lie in [0, 1]")
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    x = np.full_like(u, 0.5)
-    lbeta = betaln(alpha, beta)
-    done = np.zeros(u.shape, dtype=bool)
-    done |= u == 0.0
-    x[u == 0.0] = 0.0
-    done |= u == 1.0
-    x[u == 1.0] = 1.0
-    for _ in range(200):
-        if done.all():
-            break
-        act = ~done
-        xa = x[act]
-        f = betainc(alpha, beta, xa) - u[act]
-        lo_a, hi_a = lo[act], hi[act]
-        lo_a = np.where(f < 0, xa, lo_a)
-        hi_a = np.where(f >= 0, xa, hi_a)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            logpdf = (alpha - 1) * np.log(xa) + (beta - 1) * np.log1p(-xa) - lbeta
-            step = f * np.exp(-logpdf)
-        x_new = xa - step
-        bad = ~np.isfinite(x_new) | (x_new <= lo_a) | (x_new >= hi_a)
-        x_new = np.where(bad, 0.5 * (lo_a + hi_a), x_new)
-        conv = np.abs(x_new - xa) < atol
-        x[act] = x_new
-        lo[act] = lo_a
-        hi[act] = hi_a
-        idx = np.flatnonzero(act)
-        done[idx[conv]] = True
-    return float(x[0]) if scalar else x
 
+    def log_kernel(x):
+        return xlogy(alpha - 1.0, x) + xlog1py(beta - 1.0, -x)
 
-def _sample_trunc_beta(alpha: float, beta: float, a: float, b: float, rng) -> float:
-    Fa = float(betainc(alpha, beta, a))
-    Fb = float(betainc(alpha, beta, b))
-    if Fb - Fa >= 1e-12:
-        u = rng.uniform(Fa, Fb)
-        return float(trunc_beta_ppf(u, alpha, beta))
-    # interval mass too small for the inverse CDF: rejection-sample the
-    # untruncated beta, capped, before giving up
-    for _ in range(_REJECTION_CAP):
-        y = rng.beta(alpha, beta)
-        if a < y < b:
-            return float(y)
-    raise NumericalError(
-        f"degenerate truncation: no Beta({alpha}, {beta}) draw landed in "
-        f"({a}, {b}) within {_REJECTION_CAP} proposals"
-    )
+    points = [a, b]
+    if alpha + beta != 2.0:
+        points.append(min(max((alpha - 1.0) / (alpha + beta - 2.0), a), b))
+    top = np.max(log_kernel(np.array(points)))
+    draws = np.empty(0)
+    while draws.size < n:
+        x = rng.uniform(a, b, size=n)
+        u = rng.random(n)
+        keep = (a < x) & (x < b) & (np.log(u) <= log_kernel(x) - top)
+        draws = np.concatenate([draws, x[keep]])
+    return draws[:n]
 
 
 def sample(params: PtdParams, rng: np.random.Generator, size: int | None = None):
-    """Exact draw(s): truncated-beta first coordinate, scaled-Dirichlet tail."""
-    if size is None:
-        g1 = _sample_trunc_beta(
-            params.alpha1, params.alpha_rest_sum, params.a, params.b, rng
-        )
-        tail = rng.dirichlet(params.alpha[1:]) if params.K > 2 else np.ones(1)
-        out = np.empty(params.K)
-        out[0] = g1
-        out[1:] = (1.0 - g1) * tail
-        return out
-    Fa = float(betainc(params.alpha1, params.alpha_rest_sum, params.a))
-    Fb = float(betainc(params.alpha1, params.alpha_rest_sum, params.b))
-    if Fb - Fa >= 1e-12:
-        u = rng.uniform(Fa, Fb, size=size)
-        g1 = np.atleast_1d(trunc_beta_ppf(u, params.alpha1, params.alpha_rest_sum))
+    """Exact draw(s): truncated-beta first coordinate, scaled-Dirichlet tail.
+
+    One uniform ``U`` per row maps to the first coordinate through the
+    inverse CDF on the interval's smaller tail, ``ta + U (tb - ta)``; an
+    interval too narrow for that is drawn by :func:`_narrow_draws`.
+    ``size=None`` returns one row of the ``size=1`` draw.
+    """
+    n = 1 if size is None else size
+    alpha, beta, a, b = marginal_first(params)
+    interval = params.interval
+    ta, tb = float(interval.ta), float(interval.tb)
+    if interval.mass < _RESOLUTION * max(ta, tb):
+        g1 = _narrow_draws(alpha, beta, a, b, n, rng)
     else:
-        g1 = np.array(
-            [
-                _sample_trunc_beta(
-                    params.alpha1, params.alpha_rest_sum, params.a, params.b, rng
-                )
-                for _ in range(size)
-            ]
-        )
-    if params.K > 2:
-        tail = rng.dirichlet(params.alpha[1:], size=size)
-    else:
-        tail = np.ones((size, 1))
-    out = np.empty((size, params.K))
+        inverse = betainccinv if interval.upper else betaincinv
+        g1 = inverse(alpha, beta, ta + rng.random(n) * (tb - ta))
+        # keep rounding at the ends inside the open interval
+        g1 = np.minimum(np.maximum(g1, math.nextafter(a, b)), math.nextafter(b, a))
+    tail = rng.dirichlet(params.alpha[1:], size=n) if params.K > 2 else np.ones((n, 1))
+    out = np.empty((n, params.K))
     out[:, 0] = g1
     out[:, 1:] = (1.0 - g1)[:, None] * tail
-    return out
+    return out[0] if size is None else out

@@ -3,6 +3,7 @@ import itertools
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import betainc, betaincc, betaln, gammaln
 
 from leapborrow import (
     Dataset,
@@ -19,6 +20,7 @@ from leapborrow import (
     poisson_log_partition_weight,
 )
 from leapborrow.conjugate import (
+    _gamma_integral_block,
     chol_pd,
     chol_pd_stack,
     first_component_rate_projection_form,
@@ -424,6 +426,41 @@ class TestLinearBlockWeights:
             linear_block_weights(labels, None, hist, cfg)
 
 
+class TestGammaIntegral:
+    @staticmethod
+    def _cfg(alpha0, a=0.0, b=1.0):
+        pri = PoissonGammaPrior(0.1, 0.1)
+        return LeapConfig(K=len(alpha0), alpha0=np.array(alpha0),
+                          component_priors=(pri,) * len(alpha0), model_kind="poisson",
+                          trunc_a=a, trunc_b=b)
+
+    def test_upper_tail_truncation_matches_survival_reference(self):
+        # every row's interval lies above the median of its first weight
+        counts = np.array([[1033.0, 967.0], [1100.0, 900.0], [1300.0, 700.0]])
+        cfg = self._cfg([1.0, 1.0], 0.7, 0.8)
+        v1, v2 = counts[:, 0] + 1.0, counts[:, 1] + 1.0
+        with np.errstate(divide="ignore"):
+            cdf_diff = np.log(betainc(v1, v2, 0.8) - betainc(v1, v2, 0.7))
+        assert np.isneginf(cdf_diff[0])  # the CDF difference cancels to 0
+        ref = betaln(v1, v2) + np.log(betaincc(v1, v2, 0.7) - betaincc(v1, v2, 0.8))
+        got = _gamma_integral_block(counts, cfg)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
+
+    def test_untruncated_rows_are_unchanged(self):
+        # the complete beta integral, bit for bit, as each row's own betaln
+        for alpha0 in ([0.9, 0.9], [1.0, 2.0, 3.0]):
+            counts = np.array(
+                [c for c in itertools.product(range(7), repeat=len(alpha0)) if sum(c) == 6],
+                dtype=float,
+            )
+            v = counts + np.array(alpha0)
+            ref = betaln(v[:, 0], v[:, 1:].sum(axis=1))
+            if len(alpha0) > 2:
+                ref += gammaln(v[:, 1:]).sum(axis=1) - gammaln(v[:, 1:].sum(axis=1))
+            assert np.array_equal(_gamma_integral_block(counts, self._cfg(alpha0)), ref)
+
+
 class TestCholStack:
     def test_matches_single_factorizations(self):
         rng = np.random.default_rng(12)
@@ -439,7 +476,8 @@ class TestCholStack:
         bad = np.array([[1e14 + 1.0, 1e14], [1e14, 1e14 + 1.0]])
         with pytest.raises(NumericalError, match="stack index 1.*eigenvalue range"):
             chol_pd_stack(np.stack([ok, bad]))
-        with pytest.raises(NumericalError, match="near-singular"):
+        with pytest.raises(NumericalError, match="near-singular") as err:
             chol_pd(bad)
+        assert "stack index" not in str(err.value)
         with pytest.raises(NumericalError, match="not positive definite"):
             chol_pd_stack(np.stack([ok, -ok]))

@@ -14,7 +14,7 @@ from leapborrow import (
     ssc_marginal_from_table,
 )
 from leapborrow.diagnostics import batch_means_se
-from leapborrow.gibbs import chain_rng, gibbs_step, initialize_state
+from leapborrow.gibbs import _draw_gamma, chain_rng, gibbs_step, initialize_state
 
 from conftest import make_table1_cfg, random_linear_instance
 
@@ -133,6 +133,19 @@ class TestTruncation:
         )
         g1 = d.column("gamma_1")
         assert np.all(g1 > 0.0) and np.all(g1 < b)
+
+    def test_upper_tail_weight_draw(self):
+        # Beta(1034, 968) on (0.6, 0.7) holds about 2e-14 of its mass, all in
+        # the upper tail, where CDF differences lose their digits
+        cfg = make_table1_cfg()
+        trunc = LeapConfig(
+            K=2, alpha0=cfg.alpha0, component_priors=cfg.component_priors,
+            model_kind="poisson", trunc_a=0.6, trunc_b=0.7,
+        )
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            gamma = _draw_gamma(trunc, np.array([1033.0, 967.0]), rng)
+            assert 0.6 < gamma[0] < 0.7 and gamma.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_truncated_chain_matches_truncated_oracle(self, table1_data, table1_hist):
         cfg = make_table1_cfg()

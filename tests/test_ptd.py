@@ -1,7 +1,8 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import betaincinv, gammaln
+from scipy.special import betaincc, betaln, gammaln
 
 import leapborrow.ptd as ptd
 from leapborrow import NumericalError, PtdParams, ValidationError
@@ -162,16 +163,32 @@ class TestConjugateUpdate:
         assert np.ptp(vals) < 1e-9
 
 
-class TestQuantile:
-    def test_matches_scipy_inverse(self):
-        u = np.linspace(0.001, 0.999, 41)
-        for a, b in [(2.0, 3.0), (0.7, 0.9), (5.0, 1.2)]:
-            x = ptd.trunc_beta_ppf(u, a, b)
-            assert np.max(np.abs(x - betaincinv(a, b, u))) < 1e-10
+class TestInterval:
+    def test_both_tails_match_mpmath(self):
+        # both tails of a near-symmetric and of a skewed beta
+        for al, be, a, b, upper in [
+            (1034.0, 968.0, 0.3, 0.45, False),
+            (1034.0, 968.0, 0.6, 0.7, True),
+            (1034.0, 968.0, 0.7, 0.8, True),
+            (3.0, 2000.0, 0.1, 0.2, True),
+            (2.0, 3.0, 0.01, 0.05, False),
+        ]:
+            ends = ptd.trunc_beta_interval(al, be, a, b)
+            with mp.workdps(60):
+                exact = mp.betainc(al, be, a, b, regularized=True)
+            assert bool(ends.upper) is upper
+            assert float(ends.mass) == pytest.approx(float(exact), rel=1e-10)
 
-    def test_endpoints(self):
-        assert ptd.trunc_beta_ppf(0.0, 2.0, 2.0) == 0.0
-        assert ptd.trunc_beta_ppf(1.0, 2.0, 2.0) == 1.0
+    def test_vectorized_matches_scalar_calls(self):
+        al = np.array([2.0, 1034.0, 3.0])
+        be = np.array([3.0, 968.0, 2000.0])
+        ends = ptd.trunc_beta_interval(al, be, 0.6, 0.7)
+        for i in range(al.size):
+            one = ptd.trunc_beta_interval(al[i], be[i], 0.6, 0.7)
+            assert ends.upper[i] == one.upper and ends.mass[i] == one.mass
+
+    def test_underflowing_mass_is_minus_inf(self):
+        assert ptd.log_beta_interval(500.0, 1.0, 0.0, 0.01) == -np.inf
 
 
 class TestSampling:
@@ -201,12 +218,52 @@ class TestSampling:
         g = ptd.sample(PtdParams(np.array([2.0, 3.0]), 0.1, 0.9), rng)
         assert g.shape == (2,) and 0.1 < g[0] < 0.9
 
-    def test_rejection_fallback_cap_errors(self, monkeypatch):
-        monkeypatch.setattr(ptd, "_REJECTION_CAP", 500)
+    def test_narrow_interval_draws_inside(self):
+        # too narrow for the inverse CDF: drawn by rejection from Uniform(a, b)
         rng = np.random.default_rng(15)
-        p = PtdParams(np.array([2.0, 2.0]), 0.5, 0.5 + 1e-13)
-        with pytest.raises(NumericalError, match="degenerate truncation"):
-            ptd.sample(p, rng)
+        a, b = 0.5, 0.5 + 1e-13
+        draws = ptd.sample(PtdParams(np.array([2.0, 2.0]), a, b), rng, size=20_000)
+        assert np.all(draws[:, 0] > a) and np.all(draws[:, 0] < b)
+        assert abs(np.mean((draws[:, 0] - a) / (b - a)) - 0.5) < 0.01
+
+    def test_single_draw_is_first_row_of_size_one(self):
+        for alpha, a, b in [([2.0, 3.0, 1.5], 0.1, 0.4), ([1034.0, 968.0], 0.6, 0.7),
+                            ([2.0, 2.0], 0.5, 0.5 + 1e-13)]:
+            p = PtdParams(np.array(alpha), a, b)
+            one = ptd.sample(p, np.random.default_rng(19))
+            row = ptd.sample(p, np.random.default_rng(19), size=1)
+            assert row.shape == (1, p.K) and np.array_equal(one, row[0])
+
+    @pytest.mark.parametrize(
+        "alpha, a, b",
+        [
+            ((1034.0, 968.0), 0.6, 0.7),  # upper tail, mass about 2e-14
+            ((1034.0, 968.0), 0.3, 0.45),  # lower tail
+            ((3.0, 2000.0), 0.1, 0.2),  # upper tail of a skewed beta
+        ],
+    )
+    def test_tail_ks_against_scipy(self, alpha, a, b):
+        rng = np.random.default_rng(20)
+        draws = ptd.sample(PtdParams(np.array(alpha), a, b), rng, size=20_000)[:, 0]
+        assert np.all(draws > a) and np.all(draws < b)
+        dist = stats.beta(*alpha)
+        upper = dist.cdf(a) > 0.5
+        if upper:  # survival function keeps the digits above the median
+            sa, sb = dist.sf(a), dist.sf(b)
+            cdf = lambda y: (sa - dist.sf(np.clip(y, a, b))) / (sa - sb)
+        else:
+            fa, fb = dist.cdf(a), dist.cdf(b)
+            cdf = lambda y: (dist.cdf(np.clip(y, a, b)) - fa) / (fb - fa)
+        assert stats.kstest(draws, cdf).pvalue > 0.01
+
+    def test_upper_tail_interval_constructs_and_samples(self):
+        # betainc(b) - betainc(a) cancels to 0 here; the true mass is about 1.8e-66
+        p = PtdParams(np.array([1034.0, 968.0]), 0.7, 0.8)
+        draws = ptd.sample(p, np.random.default_rng(21), size=1_000)
+        assert np.all(draws[:, 0] > 0.7) and np.all(draws[:, 0] < 0.8)
+        mass = betaincc(1034.0, 968.0, 0.7) - betaincc(1034.0, 968.0, 0.8)
+        expect = betaln(1034.0, 968.0) + np.log(mass)
+        assert ptd.log_norm_const(p) == pytest.approx(expect, rel=1e-10)
 
     def test_marginal_ks(self):
         rng = np.random.default_rng(16)
