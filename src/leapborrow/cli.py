@@ -109,40 +109,32 @@ def _load_cfg(args, need: str):
     return cfg, int(seed)
 
 
-def _leap_section_dict(leap_cfg) -> dict:
-    def prior_dict(p):
-        if hasattr(p, "eta0"):
-            return {"eta0": p.eta0, "beta0": p.beta0}
-        return {
-            "mu0": p.mu0.tolist(),
-            "omega0": p.omega0.tolist(),
-            "delta0": p.delta0,
-            "xi0": p.xi0,
-        }
+def _prior_dict(p) -> dict:
+    """Resolved hyperparameters of one gamma or normal-gamma component prior."""
+    if hasattr(p, "eta0"):
+        return {"eta0": p.eta0, "beta0": p.beta0}
+    return {
+        "mu0": p.mu0.tolist(),
+        "omega0": p.omega0.tolist(),
+        "delta0": p.delta0,
+        "xi0": p.xi0,
+    }
 
+
+def _leap_section_dict(leap_cfg) -> dict:
     return {
         "K": leap_cfg.K,
         "alpha0": leap_cfg.alpha0.tolist(),
         "trunc_a": leap_cfg.trunc_a,
         "trunc_b": leap_cfg.trunc_b,
-        "component_priors": [prior_dict(p) for p in leap_cfg.component_priors],
+        "component_priors": [_prior_dict(p) for p in leap_cfg.component_priors],
     }
 
 
 def _npp_section_dict(npp_cfg) -> dict:
-    p = npp_cfg.prior
-    if hasattr(p, "eta0"):
-        prior = {"eta0": p.eta0, "beta0": p.beta0}
-    else:
-        prior = {
-            "mu0": p.mu0.tolist(),
-            "omega0": p.omega0.tolist(),
-            "delta0": p.delta0,
-            "xi0": p.xi0,
-        }
     a = npp_cfg.a0_prior
     return {
-        "prior": prior,
+        "prior": _prior_dict(npp_cfg.prior),
         "a0_prior": {
             "kind": a.kind, "bound": a.bound, "shape1": a.shape1,
             "shape2": a.shape2, "value": a.value,
@@ -173,7 +165,6 @@ def cmd_fit(args) -> int:
             data, hist, leap_cfg,
             n_draws=sampler["draws"], burn_in=sampler["burn_in"],
             thin=sampler["thin"], seed=seed, chains=sampler["chains"],
-            store_c0=False,
         )
         resolved["leap"] = _leap_section_dict(leap_cfg)
         pmf, mean = elicitation.posterior_ssc_summary(draws)

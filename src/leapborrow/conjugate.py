@@ -224,9 +224,25 @@ def _gamma_integral_block(counts: np.ndarray, cfg: LeapConfig) -> np.ndarray:
     return out
 
 
-def _gamma_integral_log(cfg: LeapConfig, counts: np.ndarray) -> float:
-    """:func:`_gamma_integral_block` for a single partition's class counts."""
-    return float(_gamma_integral_block(np.asarray(counts, dtype=float)[None], cfg)[0])
+def stat_rows(y: np.ndarray, X: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-subject sufficient-statistic rows ``(n, d)``, with a leading column of ones.
+
+    Every posterior quantity depends on the class labels only through the
+    class sums of these rows (:func:`_class_stats`); column 0 sums to the
+    class counts.  Without a design ``X`` (Poisson) a row is ``(1, y)``; with
+    one it is ``(1, y^2, x y, vec(x x'))``, split by :func:`split_linear_stats`.
+    """
+    ones = np.ones(y.size)
+    if X is None:
+        return np.column_stack([ones, y])
+    xx = np.einsum("ip,iq->ipq", X, X).reshape(y.size, -1)
+    return np.column_stack([ones, y**2, X * y[:, None], xx])
+
+
+def split_linear_stats(stats: np.ndarray, p: int) -> tuple:
+    """Views ``(n, y'y, X'y, X'X)`` of summed linear :func:`stat_rows`, ``X'X`` as ``(..., p, p)``."""
+    return (stats[..., 0], stats[..., 1], stats[..., 2 : 2 + p],
+            stats[..., 2 + p :].reshape(stats.shape[:-1] + (p, p)))
 
 
 def _class_stats(labels: np.ndarray, K: int, rows: np.ndarray) -> np.ndarray:
@@ -253,7 +269,7 @@ def poisson_block_weights(
     current-study terms are dropped, which gives the prior partition kernel
     induced by the historical data alone.
     """
-    stats = _class_stats(labels, cfg.K, np.column_stack([np.ones(hist.n0), hist.y0]))
+    stats = _class_stats(labels, cfg.K, stat_rows(hist.y0))
     counts, sums = stats[..., 0], stats[..., 1]
     eta = sums + np.array([p.eta0 for p in cfg.component_priors])
     beta = counts + np.array([p.beta0 for p in cfg.component_priors])
@@ -419,27 +435,18 @@ def linear_block_weights(
 ) -> tuple:
     """Unnormalized log masses and first-component coefficient means of a ``(B, n0)`` label block.
 
-    Returns ``(log_weights (B,), means (B, p))``.  All classes' ``(X'X, X'y,
-    y'y, n)`` come from one product of one-hot labels with per-subject rows,
+    Returns ``(log_weights (B,), means (B, p))``.  All classes' ``(n, y'y,
+    X'y, X'X)`` come from one product of one-hot labels with :func:`stat_rows`,
     and each component's kernels from one :func:`ng_update_stack` call.  The
-    current data join the first component; ``data=None`` gives the prior kernel.
+    current data's summed rows join the first class; ``data=None`` gives the
+    prior kernel.
     """
     p = cfg.component_priors[0].p
-    X0 = hist_design(hist, p)
-    xx0 = np.einsum("ip,iq->ipq", X0, X0).reshape(hist.n0, p * p)
-    rows = np.column_stack([xx0, X0 * hist.y0[:, None], hist.y0**2, np.ones(hist.n0)])
-    stats = _class_stats(labels, cfg.K, rows)
-    XtX = stats[..., : p * p].reshape(labels.shape[0], cfg.K, p, p)
-    Xty = stats[..., p * p : p * p + p]
-    yty = stats[..., -2]
-    n = stats[..., -1]
+    stats = _class_stats(labels, cfg.K, stat_rows(hist.y0, hist_design(hist, p)))
+    n, yty, Xty, XtX = split_linear_stats(stats, p)
     logw = _gamma_integral_block(n, cfg)
     if data is not None:
-        X = current_design(data, p)
-        XtX[:, 0] += X.T @ X
-        Xty[:, 0] += X.T @ data.y
-        yty[:, 0] += data.y @ data.y
-        n[:, 0] += data.n
+        stats[:, 0] += stat_rows(data.y, current_design(data, p)).sum(axis=0)
 
     def where(i):
         return f" for partition c0 = ({','.join(str(v) for v in labels[i])})"
@@ -461,41 +468,3 @@ def linear_log_partition_weight(
     """Unnormalized log mass of one partition under the linear model (one block row)."""
     labels = _single_partition(assign, hist, cfg)
     return float(linear_block_weights(labels, data, hist, cfg)[0][0])
-
-
-def first_component_rate_projection_form(
-    assign: PartitionAssignment,
-    data: Dataset,
-    hist: HistoricalDataset,
-    prior: NormalGammaPrior,
-) -> float:
-    """Independent evaluation of the first-component rate scale.
-
-    Builds the residual projection and shrinkage quadratic terms explicitly
-    (class-1 stage first, then the current-data stage) instead of completing
-    the square once over the stacked data.  Used to cross-check
-    :func:`linear_first_component_conditional`; requires full-rank class-1
-    and current designs since it goes through the per-stage least-squares
-    fits.
-    """
-    X = current_design(data, prior.p)
-    X0 = hist_design(hist, prior.p)
-    mask = assign.c0 == 1
-    X1 = X0[mask]
-    y1 = hist.y0[mask]
-
-    G1 = X1.T @ X1
-    bhat01 = np.linalg.solve(G1, X1.T @ y1)
-    resid1 = y1 - X1 @ bhat01
-    psi01 = G1 + prior.omega0
-    lam01 = np.linalg.solve(psi01, prior.omega0)
-    d01 = bhat01 - prior.mu0
-    s01 = float(resid1 @ resid1 + d01 @ (lam01.T @ G1) @ d01 + prior.xi0)
-
-    G = X.T @ X
-    bhat1 = np.linalg.solve(G, X.T @ data.y)
-    resid = data.y - X @ bhat1
-    bt01 = lam01 @ prior.mu0 + (np.eye(prior.p) - lam01) @ bhat01
-    lam1 = np.linalg.solve(G + psi01, psi01)
-    d1 = bhat1 - bt01
-    return float(resid @ resid + d1 @ (lam1.T @ G) @ d1 + s01)

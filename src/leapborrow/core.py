@@ -305,8 +305,9 @@ class DrawsMatrix:
 
     ``columns`` names each column of ``values`` (one row per retained draw).
     For mixture fits the per-draw class counts are stored as ``n0_k``
-    columns; the full label matrix ``c0`` is kept only when requested since
-    it can dominate memory for long chains.
+    columns.  The sampler does not fill the per-draw label matrix ``c0``;
+    the field stays because the benchmark's tracer reads it to report the
+    label-store size.
     """
 
     columns: tuple

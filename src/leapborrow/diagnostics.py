@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
+from .conjugate import current_design
 from .core import Dataset, DrawsMatrix, ValidationError
 
 
@@ -173,7 +174,7 @@ def dic(draws: DrawsMatrix, data: Dataset, model_kind: Optional[str] = None) -> 
         beta_cols = [c for c in cols if not c.startswith("tau")]
         B = np.column_stack([draws.column(c) for c in beta_cols])
         tau = draws.column("tau_1")
-        X = current_design_for_dic(data, B.shape[1])
+        X = current_design(data, B.shape[1])
         dev = _linear_deviances(B, tau, data.y, X)
         dev_at_mean = _linear_deviances(
             B.mean(axis=0)[None, :], np.array([np.exp(np.log(tau).mean())]), data.y, X
@@ -182,15 +183,6 @@ def dic(draws: DrawsMatrix, data: Dataset, model_kind: Optional[str] = None) -> 
         raise ValidationError(f"unknown model kind {kind!r}")
     mean_dev = float(dev.mean())
     return float(2.0 * mean_dev - dev_at_mean)
-
-
-def current_design_for_dic(data: Dataset, p: int) -> np.ndarray:
-    X = data.effective_design()
-    if X is None or X.shape[1] != p:
-        raise ValidationError(
-            f"current design with {p} columns required to evaluate the deviance"
-        )
-    return X
 
 
 def sim_metrics(estimates, ci_lows, ci_highs, truth: float) -> SimMetrics:

@@ -7,6 +7,14 @@ class counts, and finally each subject's class label given everything else.
 The first component always conditions on the current data, which anchors the
 parameter of interest and avoids label switching.
 
+The labels enter every update only through per-class sufficient statistics:
+the class sums of :func:`conjugate.stat_rows`, from the same
+:func:`conjugate._class_stats` product as exact enumeration.  A scan reads
+the statistics of its starting labels and returns those of its new labels,
+so each scan computes them once; the parameter draws, the weight draw and
+the ``n0_k`` count columns all read that one result.  The labels themselves
+are not stored.
+
 The same scan kernels back both :func:`gibbs_step` (single transition, used
 in tests) and :func:`run_chain` (tight loop with preallocated storage).
 """
@@ -14,7 +22,6 @@ in tests) and :func:`run_chain` (tight loop with preallocated storage).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -23,8 +30,11 @@ from . import ptd
 from .conjugate import (
     _PIVOT_RTOL,
     NormalGammaPrior,
+    _class_stats,
     current_design,
     hist_design,
+    split_linear_stats,
+    stat_rows,
 )
 from .core import (
     Dataset,
@@ -39,7 +49,6 @@ from .core import (
 
 DEFAULT_DRAWS = 22_000
 DEFAULT_BURN_IN = 2_000
-_AUTO_C0_LIMIT = 50_000_000  # stored label entries before c0 retention turns off
 
 
 @dataclass(frozen=True)
@@ -72,18 +81,15 @@ class _PoissonKernel:
     def __init__(self, data: Dataset, hist: HistoricalDataset, cfg: LeapConfig):
         self.cfg = cfg
         self.y0 = hist.y0
-        self.n0 = hist.n0
+        self.rows = stat_rows(hist.y0)
         self.s_cur = float(data.y.sum())
         self.n_cur = data.n
         self.eta0 = np.array([p.eta0 for p in cfg.component_priors])
         self.beta0 = np.array([p.beta0 for p in cfg.component_priors])
 
-    def draw_thetas(self, c0: np.ndarray, rng) -> tuple:
-        K = self.cfg.K
-        counts = np.bincount(c0 - 1, minlength=K).astype(float)
-        sums = np.bincount(c0 - 1, weights=self.y0, minlength=K)
-        shapes = self.eta0 + sums
-        rates = self.beta0 + counts
+    def draw_thetas(self, stats: np.ndarray, rng) -> tuple:
+        shapes = self.eta0 + stats[:, 1]
+        rates = self.beta0 + stats[:, 0]
         shapes[0] += self.s_cur
         rates[0] += self.n_cur
         # tiny shapes (diffuse priors on empty classes) can underflow to an
@@ -111,32 +117,18 @@ class _LinearKernel:
         self.cfg = cfg
         first: NormalGammaPrior = cfg.component_priors[0]
         self.p = first.p
-        self.X = current_design(data, self.p)
-        self.y = data.y
         self.X0 = hist_design(hist, self.p)
         self.y0 = hist.y0
-        self.n0 = hist.n0
-        self.XtX_cur = self.X.T @ self.X
-        self.Xty_cur = self.X.T @ data.y
-        self.yty_cur = float(data.y @ data.y)
-        self.n_cur = data.n
-        # per-subject outer products let class stats accumulate without slicing
-        self.xx0 = np.einsum("ip,iq->ipq", self.X0, self.X0).reshape(self.n0, -1)
-        self.xy0 = self.X0 * hist.y0[:, None]
-        self.yy0 = hist.y0**2
+        self.rows = stat_rows(hist.y0, self.X0)
+        # the current data's summed rows, added to the first class's statistics
+        self.cur = np.zeros((cfg.K, self.rows.shape[1]))
+        self.cur[0] = stat_rows(data.y, current_design(data, self.p)).sum(axis=0)
         # prior pieces that never change across scans
         self.om_mu = [pr.omega0 @ pr.mu0 for pr in cfg.component_priors]
         self.mu_om_mu = [
             float(pr.mu0 @ pr.omega0 @ pr.mu0) for pr in cfg.component_priors
         ]
         self._pivot_floor_scale = _PIVOT_RTOL / max(self.p, 1)
-
-    def _class_stats(self, mask: np.ndarray):
-        w = mask.astype(float)
-        XtX = (w @ self.xx0).reshape(self.p, self.p)
-        Xty = w @ self.xy0
-        yty = float(self.yy0 @ mask)
-        return XtX, Xty, yty, float(mask.sum())
 
     def _draw_ng(self, k: int, XtX, Xty, yty, n_eff, rng):
         prior: NormalGammaPrior = self.cfg.component_priors[k]
@@ -168,22 +160,13 @@ class _LinearKernel:
             raise NumericalError(f"component {k + 1} triangular solve failed")
         return m + u / np.sqrt(tau), tau
 
-    def draw_thetas(self, c0: np.ndarray, rng) -> tuple:
+    def draw_thetas(self, stats: np.ndarray, rng) -> tuple:
         K = self.cfg.K
         betas = np.empty((K, self.p))
         taus = np.empty(K)
-        XtX, Xty, yty, nk = self._class_stats(c0 == 1)
-        betas[0], taus[0] = self._draw_ng(
-            0,
-            XtX + self.XtX_cur,
-            Xty + self.Xty_cur,
-            yty + self.yty_cur,
-            nk + self.n_cur,
-            rng,
-        )
-        for k in range(2, K + 1):
-            stats = self._class_stats(c0 == k)
-            betas[k - 1], taus[k - 1] = self._draw_ng(k - 1, *stats, rng)
+        n, yty, Xty, XtX = split_linear_stats(stats + self.cur, self.p)
+        for k in range(K):
+            betas[k], taus[k] = self._draw_ng(k, XtX[k], Xty[k], yty[k], n[k], rng)
         return (betas, taus)
 
     def log_class_weights(self, theta: tuple) -> np.ndarray:
@@ -214,6 +197,11 @@ def _make_kernel(data, hist, cfg):
     return _LinearKernel(data, hist, cfg)
 
 
+def _label_stats(kernel, c0: np.ndarray) -> np.ndarray:
+    """Class sums ``(K, d)`` of the kernel's statistic rows under labels ``c0``."""
+    return _class_stats(c0[None], kernel.cfg.K, kernel.rows)[0]
+
+
 def _draw_gamma(cfg: LeapConfig, counts: np.ndarray, rng) -> np.ndarray:
     if cfg.K == 1:
         return np.ones(1)
@@ -236,15 +224,17 @@ def _draw_labels(log_w: np.ndarray, gamma: np.ndarray, rng) -> np.ndarray:
     return (u[:, None] > cum).sum(axis=1).astype(np.int64) + 1
 
 
-def _scan(kernel, cfg: LeapConfig, c0: np.ndarray, rng):
-    """One full Gibbs scan from labels ``c0``; returns (theta, gamma, new labels)."""
-    theta = kernel.draw_thetas(c0, rng)
-    counts = np.bincount(c0 - 1, minlength=cfg.K).astype(float)
-    gamma = _draw_gamma(cfg, counts, rng)
+def _scan(kernel, cfg: LeapConfig, c0: np.ndarray, stats: np.ndarray, rng):
+    """One full Gibbs scan from labels ``c0`` with class statistics ``stats``.
+
+    Returns ``(theta, gamma, new labels, their class statistics)``.
+    """
+    theta = kernel.draw_thetas(stats, rng)
+    gamma = _draw_gamma(cfg, stats[:, 0], rng)
     if cfg.K == 1:
-        return theta, gamma, c0
+        return theta, gamma, c0, stats
     new_c0 = _draw_labels(kernel.log_class_weights(theta), gamma, rng)
-    return theta, gamma, new_c0
+    return theta, gamma, new_c0, _label_stats(kernel, new_c0)
 
 
 def initialize_state(
@@ -267,7 +257,7 @@ def initialize_state(
         c0 = rng.integers(1, cfg.K + 1, size=hist.n0)
         gamma = _draw_gamma(cfg, np.zeros(cfg.K), rng)
     kernel = _make_kernel(data, hist, cfg)
-    theta = kernel.draw_thetas(c0, rng)
+    theta = kernel.draw_thetas(_label_stats(kernel, c0), rng)
     return GibbsState(theta=theta, gamma=gamma, c0=PartitionAssignment(c0))
 
 
@@ -280,7 +270,8 @@ def gibbs_step(
 ) -> GibbsState:
     """One full scan starting from ``state``."""
     kernel = _make_kernel(data, hist, cfg)
-    theta, gamma, c0 = _scan(kernel, cfg, state.c0.c0, rng)
+    c0 = state.c0.c0
+    theta, gamma, c0, _ = _scan(kernel, cfg, c0, _label_stats(kernel, c0), rng)
     return GibbsState(theta=theta, gamma=gamma, c0=PartitionAssignment(c0))
 
 
@@ -293,7 +284,6 @@ def run_chain(
     thin: int = 1,
     seed: int = 0,
     chain_index: int = 0,
-    store_c0: Optional[bool] = None,
 ) -> DrawsMatrix:
     """Run one chain for ``n_draws`` total scans, retaining post-burn-in draws.
 
@@ -312,22 +302,18 @@ def run_chain(
     kernel = _make_kernel(data, hist, cfg)
     n_retained = len(range(burn_in, n_draws, thin))
 
-    if store_c0 is None:
-        store_c0 = n_retained * hist.n0 <= _AUTO_C0_LIMIT
-
     theta_cols = kernel.columns()
     gamma_cols = [f"gamma_{k + 1}" for k in range(cfg.K)]
     count_cols = [f"n0_{k + 1}" for k in range(cfg.K)]
     columns = theta_cols + gamma_cols + count_cols
     values = np.empty((n_retained, len(columns)))
-    c0_store = np.empty((n_retained, hist.n0), dtype=np.int16) if store_c0 else None
 
-    state = initialize_state(data, hist, cfg, rng)
-    c0 = state.c0.c0.copy()
+    c0 = initialize_state(data, hist, cfg, rng).c0.c0
+    stats = _label_stats(kernel, c0)
     kept = 0
     for t in range(n_draws):
         try:
-            theta, gamma, c0 = _scan(kernel, cfg, c0, rng)
+            theta, gamma, c0, stats = _scan(kernel, cfg, c0, stats, rng)
         except NumericalError as exc:
             raise NumericalError(f"iteration {t}: {exc}") from exc
         if t >= burn_in and (t - burn_in) % thin == 0:
@@ -335,9 +321,7 @@ def run_chain(
             flat = kernel.flatten(theta)
             row[: flat.size] = flat
             row[flat.size : flat.size + cfg.K] = gamma
-            row[flat.size + cfg.K :] = np.bincount(c0 - 1, minlength=cfg.K)
-            if store_c0:
-                c0_store[kept] = c0
+            row[flat.size + cfg.K :] = stats[:, 0]
             kept += 1
 
     meta = {
@@ -355,7 +339,7 @@ def run_chain(
         "no_retained_draws": n_retained == 0,
         "sampler": "leap_gibbs",
     }
-    return DrawsMatrix(columns=tuple(columns), values=values, meta=meta, c0=c0_store)
+    return DrawsMatrix(columns=tuple(columns), values=values, meta=meta)
 
 
 def run_chains(
@@ -367,7 +351,6 @@ def run_chains(
     thin: int = 1,
     seed: int = 0,
     chains: int = 1,
-    store_c0: Optional[bool] = None,
 ) -> DrawsMatrix:
     """Run ``chains`` independent chains and merge them in chain-index order."""
     if chains < 1:
@@ -375,17 +358,14 @@ def run_chains(
     parts = [
         run_chain(
             data, hist, cfg, n_draws=n_draws, burn_in=burn_in, thin=thin,
-            seed=seed, chain_index=c, store_c0=store_c0,
+            seed=seed, chain_index=c,
         )
         for c in range(chains)
     ]
     if chains == 1:
         return parts[0]
     values = np.vstack([p.values for p in parts])
-    c0 = None
-    if all(p.c0 is not None for p in parts):
-        c0 = np.vstack([p.c0 for p in parts])
     meta = dict(parts[0].meta)
     meta["chain"] = list(range(chains))
     meta["chain_lengths"] = [p.n_draws for p in parts]
-    return DrawsMatrix(columns=parts[0].columns, values=values, meta=meta, c0=c0)
+    return DrawsMatrix(columns=parts[0].columns, values=values, meta=meta)

@@ -29,7 +29,7 @@ from .core import (
     ValidationError,
     validate_config,
 )
-from .pool import pool_size, worker_pool
+from .pool import map_tasks
 
 DEFAULT_CAP = 2**20
 BLOCK_SIZE = 4096
@@ -177,14 +177,9 @@ def _build_table(
     post_acc = _StreamAccumulator(mean_dim, hist.n0, materialize) if want_posterior else None
 
     tasks = [(s, min(s + BLOCK_SIZE, total), data, hist, cfg) for s in range(0, total, BLOCK_SIZE)]
-    size = pool_size(workers, len(tasks))
-    if size > 1:
-        with worker_pool(size) as pool:
-            results = list(pool.map(_block_task, tasks, chunksize=1))
-    else:
-        results = map(_block_task, tasks)
-
-    for logw_prior, prior_means, logw_post, post_means, n01 in results:
+    for logw_prior, prior_means, logw_post, post_means, n01 in map_tasks(
+        _block_task, tasks, workers
+    ):
         prior_acc.add_block(logw_prior, prior_means, n01)
         if want_posterior:
             post_acc.add_block(logw_post, post_means, n01)

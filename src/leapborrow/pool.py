@@ -4,7 +4,8 @@ Replication and enumeration workers already split the work across cores, so
 each one keeping OpenBLAS's own thread pool (one thread per core) only makes
 the workers contend for the same cores.  Every pool in the package starts
 its workers through :func:`worker_pool`, whose initializer sets each OpenBLAS
-loaded in the worker to one thread.
+loaded in the worker to one thread; :func:`map_tasks` is the one place that
+decides whether a list of tasks needs a pool at all.
 
 The libraries are found in the process's memory map and driven through their
 exported thread-count functions with ``ctypes``.  Where no OpenBLAS is
@@ -23,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Iterator, Sequence
 
 # (setter, getter) symbol pairs: numpy's 64-bit-integer build, scipy's, then
 # the unprefixed names of a system or conda OpenBLAS
@@ -101,3 +103,18 @@ def pool_size(workers: int, tasks: int) -> int:
 def worker_pool(workers: int) -> ProcessPoolExecutor:
     """Process pool of ``workers`` processes, each with single-threaded BLAS."""
     return ProcessPoolExecutor(max_workers=workers, initializer=single_thread_blas)
+
+
+def map_tasks(fn: Callable, tasks: Sequence, workers: int) -> Iterator:
+    """Yield ``fn(task)`` for each task, in task order, as results arrive.
+
+    The tasks run in a :func:`worker_pool` of :func:`pool_size` processes, or
+    in the calling process when that size is 1.  Results depend only on the
+    tasks, so they are the same for every worker count.
+    """
+    size = pool_size(workers, len(tasks))
+    if size == 1:
+        yield from map(fn, tasks)
+        return
+    with worker_pool(size) as pool:
+        yield from pool.map(fn, tasks, chunksize=1)

@@ -9,7 +9,9 @@ for mixture weights needs.
 All beta/gamma functions are evaluated in log space.  Interval masses and the
 sampler's inverse CDF work on the interval's smaller tail (``betainc`` below
 the median, ``betaincc`` above it), so an interval far in either tail keeps
-its digits instead of cancelling between two values near 1.
+its digits instead of cancelling between two values near 1.  An interval too
+narrow for a difference of tail values takes its mass from a Gauss-Legendre
+rule over the interval instead, and is sampled by rejection.
 """
 
 from __future__ import annotations
@@ -33,22 +35,43 @@ from scipy.special import (
 from .core import NumericalError, ValidationError
 
 _MASS_FLOOR = 1e-300
-# intervals holding less than this share of their tail are drawn by rejection:
-# the inverse CDF cannot resolve them
+# intervals holding less than this share of their tail are narrow: the
+# inverse CDF cannot resolve them and their tail difference has lost digits
 _RESOLUTION = 1e-6
+# 8-point Gauss-Legendre rule on (-1, 1) (Abramowitz and Stegun, table 25.4),
+# written out because computing it at import maps LAPACK code (0.9 MiB RSS).
+# The density is close to constant on a narrow interval, so 8 nodes integrate
+# it to rounding.
+_GL_HALF_NODES = np.array([0.1834346424956498, 0.5255324099163290,
+                           0.7966664774136267, 0.9602898564975363])
+_GL_HALF_WEIGHTS = np.array([0.3626837833783620, 0.3137066458778873,
+                             0.2223810344533745, 0.1012285362903763])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 
 
 class TruncInterval(NamedTuple):
     """Tail probabilities of ``Beta(alpha, beta)`` at the ends of ``(a, b)``.
 
     ``ta``/``tb`` are the CDF values at ``a``/``b`` where ``upper`` is false
-    and the survival values where it is true; ``mass = |tb - ta|``.
+    and the survival values where it is true.  ``narrow`` marks intervals
+    whose ``|tb - ta|`` is below ``_RESOLUTION`` of the larger tail value;
+    ``mass`` is ``|tb - ta|`` elsewhere and a quadrature there.
     """
 
     upper: np.ndarray
     ta: np.ndarray
     tb: np.ndarray
     mass: np.ndarray
+    narrow: np.ndarray
+
+
+def _quadrature_mass(alpha, beta, a, b) -> np.ndarray:
+    """Mass of ``Beta(alpha, beta)`` on ``(a, b)`` by the fixed Gauss-Legendre rule, elementwise."""
+    half = (b - a) / 2.0
+    x = ((a + b) / 2.0)[:, None] + half[:, None] * _GL_NODES
+    log_f = xlogy(alpha[:, None] - 1.0, x) + xlog1py(beta[:, None] - 1.0, -x)
+    return half * (np.exp(log_f - betaln(alpha, beta)[:, None]) * _GL_WEIGHTS).sum(axis=1)
 
 
 def trunc_beta_interval(alpha, beta, a, b) -> TruncInterval:
@@ -56,13 +79,22 @@ def trunc_beta_interval(alpha, beta, a, b) -> TruncInterval:
 
     The side is the one whose larger end value is smaller: CDF values when
     ``betainc(b) <= betaincc(a)``, survival values otherwise.  The mass is then
-    a difference of values no larger than the tail it lies in.
+    a difference of values no larger than the tail it lies in, except on
+    narrow intervals, where that difference has cancelled and the density
+    is integrated over ``(a, b)`` instead.
     """
     Fa, Fb = betainc(alpha, beta, a), betainc(alpha, beta, b)
     Sa, Sb = betaincc(alpha, beta, a), betaincc(alpha, beta, b)
     upper = Fb > Sa
     ta, tb = np.where(upper, Sa, Fa), np.where(upper, Sb, Fb)
-    return TruncInterval(upper, ta, tb, np.abs(tb - ta))
+    mass = np.abs(tb - ta)
+    narrow = mass < _RESOLUTION * np.maximum(ta, tb)
+    if narrow.any():
+        args = (np.broadcast_to(np.asarray(v, dtype=float), narrow.shape)[narrow]
+                for v in (alpha, beta, a, b))
+        mass = np.where(narrow, 0.0, mass)
+        mass[narrow] = _quadrature_mass(*args)
+    return TruncInterval(upper, ta, tb, mass, narrow)
 
 
 @dataclass(frozen=True)
@@ -228,15 +260,15 @@ def sample(params: PtdParams, rng: np.random.Generator, size: int | None = None)
     """Exact draw(s): truncated-beta first coordinate, scaled-Dirichlet tail.
 
     One uniform ``U`` per row maps to the first coordinate through the
-    inverse CDF on the interval's smaller tail, ``ta + U (tb - ta)``; an
-    interval too narrow for that is drawn by :func:`_narrow_draws`.
+    inverse CDF on the interval's smaller tail, ``ta + U (tb - ta)``; a
+    narrow interval is drawn by :func:`_narrow_draws`.
     ``size=None`` returns one row of the ``size=1`` draw.
     """
     n = 1 if size is None else size
     alpha, beta, a, b = marginal_first(params)
     interval = params.interval
     ta, tb = float(interval.ta), float(interval.tb)
-    if interval.mass < _RESOLUTION * max(ta, tb):
+    if interval.narrow:
         g1 = _narrow_draws(alpha, beta, a, b, n, rng)
     else:
         inverse = betainccinv if interval.upper else betaincinv

@@ -22,7 +22,7 @@ import numpy as np
 from . import comparators, diagnostics, gibbs
 from .conjugate import NormalGammaPrior
 from .core import Dataset, HistoricalDataset, LeapConfig, ValidationError
-from .pool import pool_size, worker_pool
+from .pool import map_tasks
 
 TRUE_COEFFS = np.array([-18.00, 0.49, -1.67, 1.99])  # intercept, age, age^2, score
 TRUE_TREATMENT_EFFECT = -35.39
@@ -190,7 +190,7 @@ def run_replication(scenario: SimScenario, rep: int, priors, settings: SamplerSe
             draws = gibbs.run_chain(
                 data, hist, cfg,
                 n_draws=settings.n_draws, burn_in=settings.burn_in,
-                seed=seed, store_c0=False,
+                seed=seed,
             )
         elif prior == "npbpp":
             cfg = default_npp_config(p_eff, settings.a0_grid_size)
@@ -235,12 +235,7 @@ def run_simulation(
             )
     settings = settings or SamplerSettings()
     tasks = [(scenario, rep, priors, settings) for rep in range(scenario.reps)]
-    size = pool_size(workers, len(tasks))
-    if size > 1:
-        with worker_pool(size) as pool:
-            results = list(pool.map(_rep_worker, tasks, chunksize=1))
-    else:
-        results = [_rep_worker(t) for t in tasks]
+    results = list(map_tasks(_rep_worker, tasks, workers))
 
     truth = results[0][1]
     metrics = {}

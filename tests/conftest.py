@@ -6,8 +6,10 @@ from leapborrow import (
     HistoricalDataset,
     LeapConfig,
     NormalGammaPrior,
+    PartitionAssignment,
     PoissonGammaPrior,
 )
+from leapborrow.conjugate import _gamma_integral_block, current_design, hist_design
 
 ACCEPTANCE_RESULTS = []
 
@@ -85,3 +87,50 @@ def random_linear_instance(seed, n=12, n0=6, p=2, scale_omega=0.5):
         model_kind="normal_linear",
     )
     return data, hist, cfg
+
+
+# ---------------------------------------------------------------------------
+# Reference forms used by the conjugate and acceptance tests
+
+
+def gamma_integral_log(cfg: LeapConfig, counts: np.ndarray) -> float:
+    """Log mixture-weight integral of one partition's class counts (a one-row block)."""
+    return float(_gamma_integral_block(np.asarray(counts, dtype=float)[None], cfg)[0])
+
+
+def first_component_rate_projection_form(
+    assign: PartitionAssignment,
+    data: Dataset,
+    hist: HistoricalDataset,
+    prior: NormalGammaPrior,
+) -> float:
+    """Independent evaluation of the first-component rate scale.
+
+    Builds the residual projection and shrinkage quadratic terms explicitly
+    (class-1 stage first, then the current-data stage) instead of completing
+    the square once over the stacked data.  A reference for
+    :func:`linear_first_component_conditional`; requires full-rank class-1
+    and current designs since it goes through the per-stage least-squares
+    fits.
+    """
+    X = current_design(data, prior.p)
+    X0 = hist_design(hist, prior.p)
+    mask = assign.c0 == 1
+    X1 = X0[mask]
+    y1 = hist.y0[mask]
+
+    G1 = X1.T @ X1
+    bhat01 = np.linalg.solve(G1, X1.T @ y1)
+    resid1 = y1 - X1 @ bhat01
+    psi01 = G1 + prior.omega0
+    lam01 = np.linalg.solve(psi01, prior.omega0)
+    d01 = bhat01 - prior.mu0
+    s01 = float(resid1 @ resid1 + d01 @ (lam01.T @ G1) @ d01 + prior.xi0)
+
+    G = X.T @ X
+    bhat1 = np.linalg.solve(G, X.T @ data.y)
+    resid = data.y - X @ bhat1
+    bt01 = lam01 @ prior.mu0 + (np.eye(prior.p) - lam01) @ bhat01
+    lam1 = np.linalg.solve(G + psi01, psi01)
+    d1 = bhat1 - bt01
+    return float(resid @ resid + d1 @ (lam1.T @ G) @ d1 + s01)

@@ -35,14 +35,16 @@ from leapborrow import (
 )
 from leapborrow.cli import main
 from leapborrow.comparators import NppConfig, npp_conditional_posterior, npp_log_norm_const
-from leapborrow.conjugate import (
-    first_component_rate_projection_form,
-    linear_first_component_conditional,
-)
+from leapborrow.conjugate import linear_first_component_conditional
 from leapborrow.diagnostics import batch_means_se
 from leapborrow.simulate import SamplerSettings
 
-from conftest import make_table1_cfg, random_linear_instance, record_criterion
+from conftest import (
+    first_component_rate_projection_form,
+    make_table1_cfg,
+    random_linear_instance,
+    record_criterion,
+)
 from test_comparators import quad_log_c_linear, quad_log_c_poisson
 from test_elicitation import beta_log_density
 from test_ptd import quad_norm_const

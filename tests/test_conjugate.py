@@ -23,13 +23,17 @@ from leapborrow.conjugate import (
     _gamma_integral_block,
     chol_pd,
     chol_pd_stack,
-    first_component_rate_projection_form,
     linear_block_weights,
     ng_conditional,
 )
 from leapborrow.core import NumericalError
 
-from conftest import make_table1_cfg, random_linear_instance
+from conftest import (
+    first_component_rate_projection_form,
+    gamma_integral_log,
+    make_table1_cfg,
+    random_linear_instance,
+)
 
 
 class TestPoissonPosterior:
@@ -360,9 +364,7 @@ class TestLinearPartitionWeight:
             return lg(c.shape) - c.shape * np.log(c.rate) - 0.5 * logdet
 
         counts = np.array([mask.sum(), (~mask).sum()], dtype=float)
-        from leapborrow.conjugate import _gamma_integral_log
-
-        manual = _gamma_integral_log(cfg, counts) + kern(cond) + kern(ref)
+        manual = gamma_integral_log(cfg, counts) + kern(cond) + kern(ref)
         assert lw_prior == pytest.approx(manual, abs=1e-10)
 
     def test_hist_design_column_mismatch(self):

@@ -23,8 +23,11 @@ class TestDeterminism:
     def test_same_seed_bit_identical(self, table1_data, table1_hist, table1_cfg):
         a = run_chain(table1_data, table1_hist, table1_cfg, n_draws=500, burn_in=100, seed=9)
         b = run_chain(table1_data, table1_hist, table1_cfg, n_draws=500, burn_in=100, seed=9)
+        assert a.columns == b.columns
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.c0, b.c0)
+        counts = np.column_stack([a.column("n0_1"), a.column("n0_2")])
+        assert np.array_equal(counts.sum(axis=1), np.full(a.n_draws, table1_hist.n0))
+        assert a.c0 is None
 
     def test_different_seed_differs(self, table1_data, table1_hist, table1_cfg):
         a = run_chain(table1_data, table1_hist, table1_cfg, n_draws=300, burn_in=0, seed=1)
@@ -129,7 +132,7 @@ class TestTruncation:
         assert 0.0 < state.gamma[0] < b
         d = run_chain(
             Dataset(y=y), HistoricalDataset(y0=y0), cfg,
-            n_draws=150, burn_in=20, seed=3, store_c0=False,
+            n_draws=150, burn_in=20, seed=3,
         )
         g1 = d.column("gamma_1")
         assert np.all(g1 > 0.0) and np.all(g1 < b)
@@ -246,7 +249,33 @@ class TestDiffusePriors:
         assert np.all(np.isfinite(d.values))
 
 
+def _truncated_table1_cfg():
+    cfg = make_table1_cfg()
+    return LeapConfig(
+        K=2, alpha0=cfg.alpha0, component_priors=cfg.component_priors,
+        model_kind="poisson", trunc_a=0.0, trunc_b=0.48,
+    )
+
+
 class TestGibbsStepApi:
+    @pytest.mark.parametrize("kind", ["poisson", "linear", "truncated"])
+    def test_steps_reproduce_run_chain(self, kind, table1_data, table1_hist):
+        # run_chain carries each scan's class statistics into the next scan;
+        # gibbs_step recomputes them from the state's labels every time
+        if kind == "linear":
+            data, hist, cfg = random_linear_instance(33, n=15, n0=12, p=3)
+        else:
+            data, hist = table1_data, table1_hist
+            cfg = make_table1_cfg() if kind == "poisson" else _truncated_table1_cfg()
+        d = run_chain(data, hist, cfg, n_draws=60, burn_in=0, seed=21)
+        rng = chain_rng(21)
+        state = initialize_state(data, hist, cfg, rng)
+        for t in range(60):
+            state = gibbs_step(state, data, hist, cfg, rng)
+            theta = np.concatenate([np.ravel(part) for part in state.theta])
+            counts = np.bincount(state.c0.c0 - 1, minlength=cfg.K)
+            assert np.array_equal(d.values[t], np.concatenate([theta, state.gamma, counts]))
+
     def test_single_step_preserves_invariants(self):
         data, hist, cfg = random_linear_instance(32)
         rng = chain_rng(5)

@@ -24,7 +24,7 @@ from leapborrow.io import (
 )
 from leapborrow.core import DrawsMatrix
 
-from conftest import random_linear_instance
+from conftest import make_table1_cfg, random_linear_instance
 
 
 @pytest.fixture
@@ -192,36 +192,25 @@ class TestCliFit:
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
 
-    def test_fit_json_unchanged_without_label_store(self, table1_files, tmp_path, monkeypatch):
-        import leapborrow.gibbs as gibbs_mod
+    def test_fit_draws_match_run_chains(self, table1_files, tmp_path):
+        from leapborrow.gibbs import run_chains
 
         cur, hist, cfg = table1_files
-        argv = ["fit", "--data", cur, "--hist", hist, "--config", cfg,
-                "--prior", "leap", "--chains", "2"]
-        stored = []
-        run_chains = gibbs_mod.run_chains
-
-        def recording(*args, **kwargs):
-            draws = run_chains(*args, **kwargs)
-            stored.append(draws.c0)
-            return draws
-
-        monkeypatch.setattr(gibbs_mod, "run_chains", recording)
-        lean = str(tmp_path / "lean.json")
-        assert main(argv + ["--out", lean]) == 0
-        assert stored == [None]
-
-        def keep_labels(*args, **kwargs):
-            kwargs["store_c0"] = True
-            draws = run_chains(*args, **kwargs)
-            stored.append(draws.c0)
-            return draws
-
-        monkeypatch.setattr(gibbs_mod, "run_chains", keep_labels)
-        kept = str(tmp_path / "kept.json")
-        assert main(argv + ["--out", kept]) == 0
-        assert stored[1] is not None
-        assert open(lean, "rb").read() == open(kept, "rb").read()
+        out, draws_csv = str(tmp_path / "fit.json"), str(tmp_path / "draws.csv")
+        rc = main(["fit", "--data", cur, "--hist", hist, "--config", cfg, "--prior", "leap",
+                   "--chains", "2", "--out", out, "--emit-draws", draws_csv])
+        assert rc == 0
+        emitted = read_draws_csv(draws_csv)
+        direct = run_chains(
+            ingest_csv(cur, "current", "poisson"), ingest_csv(hist, "historical", "poisson"),
+            make_table1_cfg(), n_draws=3000, burn_in=500, seed=7, chains=2,
+        )
+        assert emitted.columns == direct.columns
+        assert np.array_equal(emitted.values, direct.values)
+        counts = emitted.column("n0_1") + emitted.column("n0_2")
+        assert np.array_equal(counts, np.full(emitted.n_draws, 3.0))
+        doc = json.load(open(out))
+        assert doc["ssc"]["mean"] == pytest.approx(emitted.column("n0_1").mean(), rel=1e-12)
 
     def test_rerun_from_echoed_config_reproduces_output(self, table1_files, tmp_path):
         cur, hist, cfg = table1_files

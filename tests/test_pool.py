@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from leapborrow import ValidationError
-from leapborrow.pool import openblas_thread_counts, pool_size, single_thread_blas, worker_pool
+from leapborrow.pool import (
+    map_tasks,
+    openblas_thread_counts,
+    pool_size,
+    single_thread_blas,
+    worker_pool,
+)
 
 
 def _worker_report():
@@ -50,3 +56,23 @@ def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch, workers, tasks, cpu
 def test_pool_size_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValidationError, match="workers must be >= 1"):
         pool_size(workers, 4)
+
+
+def _task_report(x):
+    return x * x, os.getpid()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_tasks_yields_results_in_task_order(workers):
+    results = list(map_tasks(_task_report, list(range(7)), workers))
+    assert [r for r, _ in results] == [x * x for x in range(7)]
+    pids = {pid for _, pid in results}
+    if workers == 1:
+        assert pids == {os.getpid()}  # one worker runs the tasks in this process
+    else:
+        assert os.getpid() not in pids
+
+
+def test_map_tasks_rejects_fewer_than_one_worker():
+    with pytest.raises(ValidationError, match="workers must be >= 1"):
+        next(map_tasks(_task_report, [1, 2], 0))

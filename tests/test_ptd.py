@@ -180,12 +180,33 @@ class TestInterval:
             assert float(ends.mass) == pytest.approx(float(exact), rel=1e-10)
 
     def test_vectorized_matches_scalar_calls(self):
-        al = np.array([2.0, 1034.0, 3.0])
-        be = np.array([3.0, 968.0, 2000.0])
-        ends = ptd.trunc_beta_interval(al, be, 0.6, 0.7)
+        # the last two intervals are narrow and take the quadrature mass
+        al = np.array([2.0, 1034.0, 3.0, 2.0, 191.0])
+        be = np.array([3.0, 968.0, 2000.0, 2.0, 93.0])
+        a = np.array([0.6, 0.6, 0.6, 0.3, 0.6])
+        b = np.array([0.7, 0.7, 0.7, 0.3 + 1e-10, 0.6 + 1e-9])
+        ends = ptd.trunc_beta_interval(al, be, a, b)
+        assert ends.narrow.tolist() == [False, False, False, True, True]
         for i in range(al.size):
-            one = ptd.trunc_beta_interval(al[i], be[i], 0.6, 0.7)
+            one = ptd.trunc_beta_interval(al[i], be[i], a[i], b[i])
             assert ends.upper[i] == one.upper and ends.mass[i] == one.mass
+
+    @pytest.mark.parametrize(
+        "al, be, a, width, exact",
+        [
+            # 50-digit mpmath betainc(al, be, a, a + width, regularized=True)
+            # at the floating-point endpoints
+            (2.0, 2.0, 0.3, 1e-10,
+             "1.2600001043728674520462056976090511268976787484047e-10"),
+            (191.0, 93.0, 0.6, 1e-9,
+             "5.4067445202124748504005085083144492927601365321807e-10"),
+        ],
+        ids=["beta-2-2", "beta-191-93"],
+    )
+    def test_narrow_interval_mass_matches_mpmath(self, al, be, a, width, exact):
+        ends = ptd.trunc_beta_interval(al, be, a, a + width)
+        assert bool(ends.narrow)
+        assert float(ends.mass) == pytest.approx(float(exact), rel=1e-12)
 
     def test_underflowing_mass_is_minus_inf(self):
         assert ptd.log_beta_interval(500.0, 1.0, 0.0, 0.01) == -np.inf
