@@ -25,8 +25,6 @@ from .conjugate import (
     LinearConditional,
     NormalGammaPrior,
     PoissonGammaPrior,
-    linear_component_conditional,
-    linear_first_component_conditional,
     linear_log_partition_weight,
     poisson_component_posterior,
     poisson_log_partition_weight,
@@ -103,8 +101,6 @@ __all__ = [
     "generate_replication",
     "gibbs_step",
     "initialize_state",
-    "linear_component_conditional",
-    "linear_first_component_conditional",
     "linear_log_partition_weight",
     "npp_conditional_posterior",
     "npp_log_norm_const",

@@ -155,6 +155,7 @@ def cmd_fit(args) -> int:
 
     resolved = {"model": {"kind": kind}, "sampler": sampler}
     ssc_doc = None
+    health = None
     if args.prior == "leap":
         if cfg["leap"] is None:
             raise ValidationError("config has no leap section")
@@ -187,6 +188,7 @@ def cmd_fit(args) -> int:
             thin=sampler["thin"], seed=seed,
         )
         resolved["reference"] = {"coef_sd": ref_cfg.coef_sd, "sigma_sd": ref_cfg.sigma_sd}
+        health = {k: draws.meta[k] for k in ("accept_rate", "step_size")}
 
     summary = diagnostics.summarize(draws)
     dic_value = diagnostics.dic(draws, data, kind)
@@ -203,6 +205,8 @@ def cmd_fit(args) -> int:
     }
     doc.update(io.summary_to_dict(summary))
     doc["ssc"] = ssc_doc
+    if health is not None:
+        doc["sampler_health"] = health
     if args.emit_draws:
         io.write_draws_csv(args.emit_draws, draws)
         doc["draws_file"] = args.emit_draws

@@ -9,20 +9,27 @@ and easy to verify against quadrature.
 
 The reference comparator is an independent normal prior on the coefficients
 with a half-normal prior on the outcome SD, sampled by exact coefficient
-draws alternated with a random-walk Metropolis step on the log SD.
+draws alternated with a random-walk Metropolis step on the log SD.  The
+isotropic prior precision shares the eigenvectors of ``X'X``, so one
+``eigh`` per fit diagonalizes every step's conditional precision and a step
+is O(p).  Its random numbers come from the chain generator as three blocks
+(step normals, proposal normals, uniforms).  Seeded reference draws differ
+from those of the earlier per-step Cholesky sampler, which drew its normals
+step by step and mapped them through the Cholesky factor.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln, xlogy
 
 from .conjugate import (
+    _PIVOT_RTOL,
     NormalGammaPrior,
     PoissonGammaPrior,
     _tri_solve_stack,
@@ -36,7 +43,9 @@ from .core import (
     Dataset,
     DrawsMatrix,
     HistoricalDataset,
+    NumericalError,
     ValidationError,
+    design_rank_ok,
 )
 from .gibbs import chain_rng
 
@@ -309,6 +318,17 @@ def npp_posterior(
 # reference prior sampler
 
 
+def _tau_cap(d: np.ndarray, c: float) -> float:
+    """Largest precision ``tau`` at which ``tau * d + c`` passes the pivot floor.
+
+    The floor fails when ``min(lam) < _PIVOT_RTOL * sum(lam) / p`` for
+    ``lam = tau * d + c`` (``d`` ascending), and that is linear in ``tau``:
+    ``tau * (_PIVOT_RTOL * mean(d) - d[0]) > c * (1 - _PIVOT_RTOL)``.
+    """
+    slope = _PIVOT_RTOL * float(d.mean()) - float(d[0])
+    return c * (1.0 - _PIVOT_RTOL) / slope if slope > 0 else math.inf
+
+
 def reference_posterior(
     data: Dataset,
     cfg: ReferencePriorConfig,
@@ -323,65 +343,74 @@ def reference_posterior(
     conditional; the log SD moves by random-walk Metropolis with step size
     adapted toward 40 percent acceptance during burn-in only, so retained
     draws come from a fixed kernel.  Deterministic given the seed.
+
+    The conditional precision ``tau X'X + I / coef_sd^2`` has the
+    eigenvectors ``V`` of ``X'X`` at every ``tau``, so the chain runs in
+    ``u = V' beta``, where it is diagonal: a step is O(p), with the residual
+    sum of squares from sufficient statistics.  The step normals, proposal
+    normals and uniforms are drawn as three blocks up front, and retained
+    draws map back through one product with ``V'``.
     """
     X = data.effective_design()
     if X is None:
         raise ValidationError("reference prior requires a linear-model design")
-    from .core import design_rank_ok
-
     if not design_rank_ok(X):
         raise ValidationError("reference prior requires a full-rank design")
     if not (0 <= burn_in <= n_draws):
         raise ValidationError("burn_in must lie in [0, n_draws]")
-    rng = chain_rng(seed)
     n, p = X.shape
-    XtX = X.T @ X
-    Xty = X.T @ data.y
-    prior_prec = np.eye(p) / cfg.coef_sd**2
+    d, V = np.linalg.eigh(X.T @ X)
+    w = V.T @ (X.T @ data.y)
+    two_w = 2.0 * w
+    yty = float(data.y @ data.y)
+    c = 1.0 / cfg.coef_sd**2
+    tau_cap = _tau_cap(d, c)
+    half_inv_s2 = 0.5 / cfg.sigma_sd**2
 
-    resid_var = float(np.var(data.y)) or 1.0
-    log_sigma = 0.5 * np.log(resid_var)
-    beta = np.zeros(p)
+    rng = chain_rng(seed)
+    Z = rng.standard_normal((n_draws, p))
+    moves = rng.standard_normal(n_draws)
+    log_u = np.log(rng.random(n_draws))
+
+    log_sigma = 0.5 * math.log(float(np.var(data.y)) or 1.0)
     step = 0.5
     accepted = 0
     proposed = 0
 
     def log_target(ls: float, ssr: float) -> float:
-        sigma2 = np.exp(2.0 * ls)
+        sigma2 = math.exp(2.0 * ls)
         # jacobian of sigma -> log sigma adds +ls
-        return -n * ls - 0.5 * ssr / sigma2 - sigma2 / (2.0 * cfg.sigma_sd**2) + ls
+        return -n * ls - 0.5 * ssr / sigma2 - half_inv_s2 * sigma2 + ls
 
     n_retained = len(range(burn_in, n_draws, thin))
-    values = np.empty((n_retained, p + 2))
+    U = np.empty((n_retained, p))
+    log_sigmas = np.empty(n_retained)
     kept = 0
     for t in range(n_draws):
-        tau = np.exp(-2.0 * log_sigma)
-        P = tau * XtX + prior_prec
-        L = chol_pd(P)
-        m = solve_triangular(
-            L.T, solve_triangular(L, tau * Xty, lower=True, check_finite=False),
-            lower=False, check_finite=False,
-        )
-        z = rng.standard_normal(p)
-        beta = m + solve_triangular(L.T, z, lower=False, check_finite=False)
+        tau = math.exp(-2.0 * log_sigma)
+        lam = tau * d + c
+        if tau > tau_cap:
+            raise NumericalError(
+                f"near-singular precision matrix at step {t}: smallest eigenvalue "
+                f"{lam[0]:.3e} below threshold {_PIVOT_RTOL * lam.mean():.3e} "
+                f"(eigenvalue range [{lam[0]:.3e}, {lam[-1]:.3e}])"
+            )
+        u = (tau * w + np.sqrt(lam) * Z[t]) / lam
+        ssr = yty + float(u @ (d * u - two_w))
 
-        resid = data.y - X @ beta
-        ssr = float(resid @ resid)
-        prop = log_sigma + step * rng.standard_normal()
+        prop = log_sigma + step * moves[t]
         proposed += 1
-        if np.log(rng.random()) < log_target(prop, ssr) - log_target(log_sigma, ssr):
+        if log_u[t] < log_target(prop, ssr) - log_target(log_sigma, ssr):
             log_sigma = prop
             accepted += 1
         if t < burn_in and (t + 1) % 100 == 0:
             rate = accepted / proposed
-            step *= np.exp(rate - 0.4)
+            step *= math.exp(rate - 0.4)
             accepted = 0
             proposed = 0
         if t >= burn_in and (t - burn_in) % thin == 0:
-            sigma = np.exp(log_sigma)
-            values[kept, :p] = beta
-            values[kept, p] = sigma
-            values[kept, p + 1] = 1.0 / sigma**2
+            U[kept] = u
+            log_sigmas[kept] = log_sigma
             kept += 1
 
     accept_rate = accepted / proposed if proposed else 0.0
@@ -392,6 +421,8 @@ def reference_posterior(
             RuntimeWarning,
             stacklevel=2,
         )
+    sigma = np.exp(log_sigmas)
+    values = np.column_stack([U @ V.T, sigma, 1.0 / sigma**2])
     columns = tuple([f"beta_1_{j + 1}" for j in range(p)] + ["sigma_1", "tau_1"])
     meta = {
         "model_kind": "normal_linear",

@@ -237,6 +237,25 @@ def _scan(kernel, cfg: LeapConfig, c0: np.ndarray, stats: np.ndarray, rng):
     return theta, gamma, new_c0, _label_stats(kernel, new_c0)
 
 
+def _initial_state(kernel, cfg: LeapConfig, n0: int, rng: np.random.Generator) -> tuple:
+    """:func:`initialize_state` with the chain's own kernel.
+
+    Returns ``(state, class statistics of its labels)``.
+    """
+    if cfg.K == 1:
+        c0 = np.ones(n0, dtype=np.int64)
+        gamma = np.ones(1)
+    elif cfg.truncated:
+        gamma = _draw_gamma(cfg, np.zeros(cfg.K), rng)
+        c0 = _draw_labels(np.zeros((n0, cfg.K)), gamma, rng)
+    else:
+        c0 = rng.integers(1, cfg.K + 1, size=n0)
+        gamma = _draw_gamma(cfg, np.zeros(cfg.K), rng)
+    stats = _label_stats(kernel, c0)
+    theta = kernel.draw_thetas(stats, rng)
+    return GibbsState(theta=theta, gamma=gamma, c0=PartitionAssignment(c0)), stats
+
+
 def initialize_state(
     data: Dataset, hist: HistoricalDataset, cfg: LeapConfig, rng: np.random.Generator
 ) -> GibbsState:
@@ -247,18 +266,7 @@ def initialize_state(
     lies near the truncation interval; uniform labels would put about half
     of a large history in class 1, where the weight update has no mass.
     """
-    if cfg.K == 1:
-        c0 = np.ones(hist.n0, dtype=np.int64)
-        gamma = np.ones(1)
-    elif cfg.truncated:
-        gamma = _draw_gamma(cfg, np.zeros(cfg.K), rng)
-        c0 = _draw_labels(np.zeros((hist.n0, cfg.K)), gamma, rng)
-    else:
-        c0 = rng.integers(1, cfg.K + 1, size=hist.n0)
-        gamma = _draw_gamma(cfg, np.zeros(cfg.K), rng)
-    kernel = _make_kernel(data, hist, cfg)
-    theta = kernel.draw_thetas(_label_stats(kernel, c0), rng)
-    return GibbsState(theta=theta, gamma=gamma, c0=PartitionAssignment(c0))
+    return _initial_state(_make_kernel(data, hist, cfg), cfg, hist.n0, rng)[0]
 
 
 def gibbs_step(
@@ -308,8 +316,8 @@ def run_chain(
     columns = theta_cols + gamma_cols + count_cols
     values = np.empty((n_retained, len(columns)))
 
-    c0 = initialize_state(data, hist, cfg, rng).c0.c0
-    stats = _label_stats(kernel, c0)
+    state, stats = _initial_state(kernel, cfg, hist.n0, rng)
+    c0 = state.c0.c0
     kept = 0
     for t in range(n_draws):
         try:

@@ -8,8 +8,15 @@ from leapborrow import (
     NormalGammaPrior,
     PartitionAssignment,
     PoissonGammaPrior,
+    ValidationError,
 )
-from leapborrow.conjugate import _gamma_integral_block, current_design, hist_design
+from leapborrow.conjugate import (
+    LinearConditional,
+    _gamma_integral_block,
+    current_design,
+    hist_design,
+    ng_conditional,
+)
 
 ACCEPTANCE_RESULTS = []
 
@@ -91,6 +98,9 @@ def random_linear_instance(seed, n=12, n0=6, p=2, scale_omega=0.5):
 
 # ---------------------------------------------------------------------------
 # Reference forms used by the conjugate and acceptance tests
+#
+# The two component conditionals build class statistics by masked slicing,
+# apart from the one-hot product the program uses.
 
 
 def gamma_integral_log(cfg: LeapConfig, counts: np.ndarray) -> float:
@@ -134,3 +144,47 @@ def first_component_rate_projection_form(
     lam1 = np.linalg.solve(G + psi01, psi01)
     d1 = bhat1 - bt01
     return float(resid @ resid + d1 @ (lam1.T @ G) @ d1 + s01)
+
+
+def linear_component_conditional(
+    assign: PartitionAssignment,
+    k: int,
+    hist: HistoricalDataset,
+    prior: NormalGammaPrior,
+) -> LinearConditional:
+    """Conditional normal-gamma block for component ``k >= 2`` given a partition.
+
+    An empty class recovers the prior exactly.  Requires a positive definite
+    ``omega0`` since nothing else guarantees full rank for a small class.
+    """
+    if k < 2:
+        raise ValidationError("use linear_first_component_conditional for k = 1")
+    if not prior.is_proper():
+        raise ValidationError(f"component {k} prior must be proper (omega0 PD)")
+    X0 = hist_design(hist, prior.p)
+    mask = assign.c0 == k
+    Xk = X0[mask]
+    yk = hist.y0[mask]
+    return ng_conditional(prior, Xk.T @ Xk, Xk.T @ yk, float(yk @ yk), float(mask.sum()))
+
+
+def linear_first_component_conditional(
+    assign: PartitionAssignment,
+    data: Dataset,
+    hist: HistoricalDataset,
+    prior: NormalGammaPrior,
+) -> LinearConditional:
+    """First-component conditional: current data stacked with class-1 historical.
+
+    Supports the improper ``omega0 -> 0`` limit as long as the stacked design
+    has full rank; otherwise the Cholesky pivot check raises.
+    """
+    X = current_design(data, prior.p)
+    X0 = hist_design(hist, prior.p)
+    mask = assign.c0 == 1
+    X1 = X0[mask]
+    y1 = hist.y0[mask]
+    XtX = X.T @ X + X1.T @ X1
+    Xty = X.T @ data.y + X1.T @ y1
+    yty = float(data.y @ data.y + y1 @ y1)
+    return ng_conditional(prior, XtX, Xty, yty, float(data.n + mask.sum()))

@@ -35,12 +35,12 @@ from leapborrow import (
 )
 from leapborrow.cli import main
 from leapborrow.comparators import NppConfig, npp_conditional_posterior, npp_log_norm_const
-from leapborrow.conjugate import linear_first_component_conditional
 from leapborrow.diagnostics import batch_means_se
 from leapborrow.simulate import SamplerSettings
 
 from conftest import (
     first_component_rate_projection_form,
+    linear_first_component_conditional,
     make_table1_cfg,
     random_linear_instance,
     record_criterion,

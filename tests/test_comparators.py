@@ -15,7 +15,15 @@ from leapborrow import (
     npp_posterior,
     reference_posterior,
 )
-from leapborrow.comparators import A0Prior, NppConfig, ReferencePriorConfig, npp_a0_posterior
+from leapborrow.comparators import (
+    A0Prior,
+    NppConfig,
+    ReferencePriorConfig,
+    _tau_cap,
+    npp_a0_posterior,
+)
+from leapborrow.conjugate import chol_pd
+from leapborrow.core import design_rank_ok
 from leapborrow.diagnostics import batch_means_se
 
 
@@ -396,3 +404,99 @@ class TestReferencePosterior:
             Dataset(y=y, X=X), ReferencePriorConfig(), n_draws=3000, burn_in=500, seed=1
         )
         assert 0.1 <= draws.meta["accept_rate"] <= 0.9
+
+
+def reference_prior_grid_means(data, cfg, points=4001):
+    """Posterior means of the coefficients and of sigma on a log-sigma grid.
+
+    Given sigma the coefficients are normal with precision ``X'X / sigma^2 +
+    I / coef_sd^2``; the marginal likelihood of sigma is that of ``y ~ N(0,
+    sigma^2 I + coef_sd^2 X X')``, taken here in its ``p``-dimensional form.
+    """
+    X = data.effective_design()
+    y = data.y
+    n, p = X.shape
+    XtX, Xty, yty = X.T @ X, X.T @ y, float(y @ y)
+    bhat = np.linalg.lstsq(X, y, rcond=None)[0]
+    sig_hat = np.sqrt(np.sum((y - X @ bhat) ** 2) / (n - p))
+    log_s = np.linspace(np.log(sig_hat) - 3.0, np.log(sig_hat) + 3.0, points)
+    c2 = cfg.coef_sd**2
+    logpost = np.empty(points)
+    means = np.empty((points, p))
+    for i, ls in enumerate(log_s):
+        s2 = np.exp(2.0 * ls)
+        m = np.linalg.solve(XtX + (s2 / c2) * np.eye(p), Xty)
+        _, logdet = np.linalg.slogdet(np.eye(p) + (c2 / s2) * XtX)
+        loglik = -0.5 * (n * np.log(s2) + logdet + (yty - Xty @ m) / s2)
+        logpost[i] = loglik - s2 / (2.0 * cfg.sigma_sd**2) + ls
+        means[i] = m
+    w = np.exp(logpost - logpost.max())
+    w /= integrate.trapezoid(w, log_s)
+    beta = integrate.trapezoid(w[:, None] * means, log_s, axis=0)
+    sigma = integrate.trapezoid(w * np.exp(log_s), log_s)
+    return beta, sigma
+
+
+def _reference_data(seed, n, p, treatment):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1 - treatment))])
+    z = (np.arange(n) % 2).astype(float) if treatment else None
+    eff = X @ np.linspace(2.0, -1.0, X.shape[1]) - (4.0 * z if treatment else 0.0)
+    return Dataset(y=eff + 3.0 * rng.standard_normal(n), X=X, z=z)
+
+
+class TestReferenceEigenbasis:
+    @pytest.mark.parametrize(
+        "p, treatment, cfg",
+        [
+            (2, False, ReferencePriorConfig(coef_sd=0.5, sigma_sd=2.0)),
+            (5, True, ReferencePriorConfig(coef_sd=3.0, sigma_sd=10.0)),
+        ],
+    )
+    def test_means_match_log_sigma_grid(self, p, treatment, cfg):
+        data = _reference_data(30 + p, 60, p, treatment)
+        assert data.effective_design().shape[1] == p
+        draws = reference_posterior(data, cfg, n_draws=22_000, burn_in=2_000, seed=p)
+        beta, sigma = reference_prior_grid_means(data, cfg)
+        names = [f"beta_1_{j + 1}" for j in range(p)] + ["sigma_1"]
+        for name, exact in zip(names, list(beta) + [sigma]):
+            x = draws.column(name)
+            assert abs(x.mean() - exact) <= 4.0 * batch_means_se(x), name
+
+    def test_eigenvalue_floor_raises(self):
+        # singular values 10 and 1e-6: full rank by the design check, but
+        # with a flat coefficient prior the conditional precision is
+        # near-singular relative to its scale
+        rng = np.random.default_rng(12)
+        n = 50
+        Q, _ = np.linalg.qr(rng.normal(size=(n, 2)))
+        X = Q @ np.diag([10.0, 1e-6])
+        data = Dataset(y=rng.standard_normal(n), X=X)
+        assert design_rank_ok(X)
+        with pytest.raises(NumericalError, match="near-singular.*eigenvalue range"):
+            reference_posterior(data, ReferencePriorConfig(coef_sd=1e6), n_draws=200, burn_in=50)
+        # the default prior precision lifts the small eigenvalue above the floor
+        draws = reference_posterior(data, ReferencePriorConfig(), n_draws=200, burn_in=50)
+        assert np.isfinite(draws.values).all()
+
+    def test_eigenvalue_floor_at_least_as_strict_as_cholesky_pivots(self):
+        rng = np.random.default_rng(13)
+        # every squared Cholesky pivot is at least the smallest eigenvalue, so
+        # a precision that passes the eigenvalue floor passes chol_pd's
+        X = rng.normal(size=(30, 4)) @ np.diag([1e3, 1.0, 1e-2, 1e-5])
+        d = np.linalg.eigvalsh(X.T @ X)
+        c = 1e-12
+        cap = _tau_cap(d, c)
+        assert np.isfinite(cap)
+        for tau in cap * np.array([1e-3, 0.5, 0.999]):
+            chol_pd(tau * X.T @ X + c * np.eye(4))
+
+    def test_retained_row_counts(self):
+        data = _reference_data(5, 40, 2, False)
+        cfg = ReferencePriorConfig()
+        empty = reference_posterior(data, cfg, n_draws=300, burn_in=300)
+        assert empty.values.shape == (0, 4)
+        thinned = reference_posterior(data, cfg, n_draws=1000, burn_in=100, thin=3)
+        assert thinned.values.shape == (len(range(100, 1000, 3)), 4)
+        full = reference_posterior(data, cfg, n_draws=1000, burn_in=100)
+        assert np.array_equal(thinned.values, full.values[::3])

@@ -13,8 +13,6 @@ from leapborrow import (
     PartitionAssignment,
     PoissonGammaPrior,
     ValidationError,
-    linear_component_conditional,
-    linear_first_component_conditional,
     linear_log_partition_weight,
     poisson_component_posterior,
     poisson_log_partition_weight,
@@ -31,6 +29,8 @@ from leapborrow.core import NumericalError
 from conftest import (
     first_component_rate_projection_form,
     gamma_integral_log,
+    linear_component_conditional,
+    linear_first_component_conditional,
     make_table1_cfg,
     random_linear_instance,
 )

@@ -349,6 +349,36 @@ class TestCliLinearFits:
             assert cli_params[p.name]["mean"] == p.mean
             assert cli_params[p.name]["sd"] == p.sd
 
+    def test_reference_fit_reports_sampler_health(self, linear_files, tmp_path):
+        cur, hist, cfg = linear_files
+        texts = []
+        for name in ("a.json", "b.json"):
+            out = str(tmp_path / name)
+            assert main(
+                ["fit", "--data", cur, "--config", cfg, "--prior", "reference", "--out", out]
+            ) == 0
+            texts.append(open(out).read())
+        assert texts[0] == texts[1]
+        from leapborrow import reference_posterior
+        from leapborrow.comparators import ReferencePriorConfig
+        from leapborrow.io import ingest_csv
+
+        draws = reference_posterior(
+            ingest_csv(cur, "current"), ReferencePriorConfig(), n_draws=2000, burn_in=400, seed=3
+        )
+        health = json.loads(texts[0])["sampler_health"]
+        assert health == {
+            "accept_rate": draws.meta["accept_rate"],
+            "step_size": draws.meta["step_size"],
+        }
+        assert 0.05 <= health["accept_rate"] <= 0.95 and health["step_size"] > 0
+        out = str(tmp_path / "leap.json")
+        assert main(
+            ["fit", "--data", cur, "--hist", hist, "--config", cfg, "--prior", "leap",
+             "--out", out]
+        ) == 0
+        assert "sampler_health" not in json.loads(open(out).read())
+
     def test_leap_and_npbpp_recover_treatment_effect(self, linear_files, tmp_path):
         cur, hist, cfg = linear_files
         for prior in ("leap", "npbpp"):
